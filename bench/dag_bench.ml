@@ -10,9 +10,7 @@
        compression claim, gated on dblp by bench_gate.sh;
      - the serving query mix timed on both (identical results asserted)
        — the "compression costs nothing at query time" claim, gated at
-       a 0.90 noise floor;
-     - one native-kernel query (few occurrence classes, so the scan
-       runs on the expansion without merging), informational.
+       a 0.90 noise floor.
 
    Writes BENCH_dag.json (see doc/PERF.md for how to read it). *)
 
@@ -68,9 +66,9 @@ let frequent_keywords (index : Index.t) =
   List.map fst (List.sort (fun (_, a) (_, b) -> Int.compare b a) !acc)
 
 (* The serving mix of slca_bench: frequent pairs/triples plus one
-   frequent/infrequent pair. Frequent keywords have many occurrence
-   classes, so on the dag index these take the memoized-merge path —
-   exactly the steady-state serving cost the gate protects. *)
+   frequent/infrequent pair. On the dag index every query runs over
+   the memoized merged lists — exactly the steady-state serving cost
+   the gate protects. *)
 let queries (index : Index.t) =
   match frequent_keywords index with
   | k0 :: k1 :: k2 :: k3 :: rest ->
@@ -80,26 +78,10 @@ let queries (index : Index.t) =
   | k0 :: k1 :: _ -> [ [ k0; k1 ] ]
   | _ -> []
 
-(* The two most frequent keywords that stay inside the native kernel's
-   eligibility window (few classes, small lists) — the long-tail regime
-   the dispatcher serves off the expansion without merging. *)
-let native_query dag =
-  let climit = Xr_slca.Scan_dag.class_limit () in
-  let plimit = Xr_slca.Scan_dag.postings_limit () in
-  let acc = ref [] in
-  for kw = 0 to Xr_dag.vocab dag - 1 do
-    let n = Xr_dag.posting_count dag kw in
-    let c = Xr_dag.class_count dag kw in
-    if n > 0 && c <= climit && n <= plimit then acc := (kw, n) :: !acc
-  done;
-  match List.sort (fun (_, a) (_, b) -> Int.compare b a) !acc with
-  | (k0, _) :: (k1, _) :: _ -> Some [ k0; k1 ]
-  | _ -> None
-
-let check_equal ~corpus ~what words reference got =
+let check_equal ~corpus words reference got =
   if not (List.equal Xr_xml.Dewey.equal got reference) then
     failwith
-      (Printf.sprintf "dag %s disagrees with flat on %s {%s}" what corpus
+      (Printf.sprintf "dag query disagrees with flat on %s {%s}" corpus
          (String.concat " " words))
 
 let () =
@@ -140,7 +122,7 @@ let () =
           let words = List.map (Doc.keyword_name doc) ids in
           let reference = Engine.query_ids Engine.Scan_packed flat ids in
           let got = Engine.query_ids Engine.Scan_packed dagged ids in
-          check_equal ~corpus:name ~what:"query" words reference got;
+          check_equal ~corpus:name words reference got;
           let flat_ns, dag_ns =
             bench_pair
               (fun () -> Engine.query_ids Engine.Scan_packed flat ids)
@@ -163,41 +145,6 @@ let () =
             :: !query_json)
         (queries flat);
       let speedup_total = if !dag_total > 0. then !flat_total /. !dag_total else 1. in
-      (* Native-kernel exposure, informational: correctness is asserted,
-         the timing is reported but not gated. The native path pays a
-         constant factor per scan versus a resident merged list — its
-         value is keeping the long tail out of the merge cache, so a
-         slowdown here is the documented trade, not a regression. *)
-      let native_json =
-        match native_query dag with
-        | None -> Json.Null
-        | Some ids ->
-          let words = List.map (Doc.keyword_name doc) ids in
-          let reference = Engine.query_ids Engine.Scan_packed flat ids in
-          let before = Xr_slca.Scan_dag.native_scans () in
-          let got = Engine.query_ids Engine.Scan_packed dagged ids in
-          let native = Xr_slca.Scan_dag.native_scans () > before in
-          check_equal ~corpus:name ~what:"native query" words reference got;
-          let flat_ns, dag_ns =
-            bench_pair
-              (fun () -> Engine.query_ids Engine.Scan_packed flat ids)
-              (fun () -> Engine.query_ids Engine.Scan_packed dagged ids)
-          in
-          Printf.printf
-            "  native {%s}: %d slca | flat %8.0fns | dag %8.0fns (%.2fx)%s\n%!"
-            (String.concat " " words) (List.length reference) flat_ns dag_ns
-            (flat_ns /. dag_ns)
-            (if native then "" else "  [fell back to merge]");
-          Json.Obj
-            [
-              ("keywords", Json.List (List.map (fun w -> Json.String w) words));
-              ("results", Json.Int (List.length reference));
-              ("flat_ns", Json.Float flat_ns);
-              ("dag_ns", Json.Float dag_ns);
-              ("speedup_dag", Json.Float (flat_ns /. dag_ns));
-              ("native", Json.Bool native);
-            ]
-      in
       Printf.printf "  aggregate query-time ratio (flat/dag): %.2fx\n%!" speedup_total;
       corpus_json :=
         Json.Obj
@@ -215,7 +162,6 @@ let () =
             ("node_dedup_ratio", Json.Float (Xr_dag.node_dedup_ratio dag));
             ("edge_dedup_ratio", Json.Float (Xr_dag.edge_dedup_ratio dag));
             ("queries", Json.List (List.rev !query_json));
-            ("native_query", native_json);
             ("speedup_dag_total", Json.Float speedup_total);
           ]
         :: !corpus_json)

@@ -178,7 +178,6 @@ type explain_search = {
   x_missing : string list;
   x_algorithm : string;
   x_index_mode : string;
-  x_dag_kernel : string option;
   x_kernel : string;
   x_reason : string;
   x_parallel : explain_parallel option;
@@ -216,17 +215,6 @@ let explain_search ?(config = Engine.default_config) ?pool_size (index : Index.t
     | Slca_engine.Scan_packed | Slca_engine.Scan_parallel | Slca_engine.Scan_eager ->
       List.stable_sort (fun a b -> compare a.ek_postings b.ek_postings) resolved
     | _ -> resolved
-  in
-  let dag_kernel =
-    match Inverted.dag index.Index.inverted with
-    | None -> None
-    | Some dag ->
-      if
-        (match alg with Slca_engine.Scan_packed | Slca_engine.Scan_parallel -> true | _ -> false)
-        && plan.s_ids <> []
-        && Xr_slca.Scan_dag.eligible dag plan.s_ids
-      then Some "scan_dag"
-      else Some "merged"
   in
   let kernel, reason, parallel =
     match plan.s_exec with
@@ -322,7 +310,6 @@ let explain_search ?(config = Engine.default_config) ?pool_size (index : Index.t
     x_missing = missing;
     x_algorithm = Slca_engine.name alg;
     x_index_mode = Index.mode_name (Index.mode index);
-    x_dag_kernel = dag_kernel;
     x_kernel = kernel;
     x_reason = reason;
     x_parallel = parallel;

@@ -107,11 +107,6 @@ type explain_search = {
   x_missing : string list;  (** normalized keywords absent from the vocabulary *)
   x_algorithm : string;
   x_index_mode : string;  (** ["flat"] or ["dag"] *)
-  x_dag_kernel : string option;
-      (** dag-backed only: ["scan_dag"] when the uncompiled dispatch
-          ({!Xr_slca.Engine.query_ids}) would run the native compressed
-          kernel, ["merged"] otherwise. Compiled plans always execute
-          over merged flat views. *)
   x_kernel : string;  (** ["dead"], ["tiny"], ["scan"], ["stack"], ["parallel"] or ["boxed"] *)
   x_reason : string;  (** the threshold or condition that fired, spelled out *)
   x_parallel : explain_parallel option;  (** scan-parallel range plans only *)

@@ -80,16 +80,12 @@ let make_candidates_for (c : Refine_common.t) ~k ~dp_runs =
    rejects — the common case once the list saturates is a single
    admission probe per partition. *)
 let process_candidates ~try_original ~q_found ~rqlist ~slca_runs ~skipped ~slca_of
-    ~prefetch (cset : cand_set) ranges =
+    (cset : cand_set) ranges =
   if cset.pure_rev = Rq_list.revision rqlist then
     (* the previous walk of this list at this revision touched nothing
        range-dependent, so its only effect was the skip count *)
     incr skipped
   else begin
-    (* overlap the walk's independent SLCA runs on the domain pool; the
-       walk below replays sequentially against the prefetched table, so
-       admissions (and their order) are exactly the sequential ones *)
-    let lookup = prefetch cset.cands ranges in
     let any_slca = ref false in
     let impure = ref false in
     let rec go = function
@@ -109,12 +105,8 @@ let process_candidates ~try_original ~q_found ~rqlist ~slca_runs ~skipped ~slca_
             impure := true;
             incr slca_runs;
             any_slca := true;
-            let slcas =
-              match lookup key with
-              | Some slcas -> slcas
-              | None -> slca_of ranges rq.Refined_query.keywords
-            in
-            if slcas <> [] then ignore (Rq_list.insert rqlist rq)
+            if slca_of ranges rq.Refined_query.keywords <> [] then
+              ignore (Rq_list.insert rqlist rq)
           end;
           go rest
         end
@@ -183,11 +175,6 @@ let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
     Refine_common.meaningful_slcas_ranges c slca
       (Refine_common.packed_sublists c ranges keywords)
   in
-  let prefetch =
-    if Par_eval.prefetch_enabled c then fun cands ranges ->
-      Par_eval.prefetch c ~slca ~ranges ~rqlist cands
-    else fun _ _ -> Par_eval.none
-  in
   (* Once the original query is known to match, the remaining partitions
      only contribute more of its SLCAs; one plain engine pass over the
      unread suffix of the query's lists finishes the job without the
@@ -233,7 +220,7 @@ let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
         if not !q_found then
           (* Definition 3.4 gate over the partition's candidates *)
           process_candidates ~try_original ~q_found ~rqlist ~slca_runs ~skipped ~slca_of
-            ~prefetch (candidates_for ranges) ranges;
+            (candidates_for ranges) ranges;
         scan ()
       end
   in
@@ -252,16 +239,15 @@ let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
            query with one pass over its full lists (any node other than
            the root lives in exactly one partition, so this equals the
            union of the per-partition SLCAs, with the meaningless root
-           filtered out). The passes are independent — one pool task
-           each, joined in rank order. *)
-        let slca_sets =
-          Par_eval.topk_slcas c ~slca
-            (List.map (fun (s : Ranking.scored) -> s.rq.Refined_query.keywords) top)
-        in
+           filtered out). *)
         Result.Refined
-          (List.mapi
-             (fun i (s : Ranking.scored) ->
-               { Result.rq = s.rq; score = Some s; slcas = slca_sets.(i) })
+          (List.map
+             (fun (s : Ranking.scored) ->
+               let slcas =
+                 Refine_common.meaningful_slcas_ranges c slca
+                   (Refine_common.packed_full_lists c s.rq.Refined_query.keywords)
+               in
+               { Result.rq = s.rq; score = Some s; slcas })
              top)
       end
     end
@@ -352,7 +338,6 @@ let run_legacy ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_eag
           try_original ranges;
         if not !q_found then
           process_candidates ~try_original ~q_found ~rqlist ~slca_runs ~skipped ~slca_of
-            ~prefetch:(fun _ _ -> Par_eval.none)
             (candidates_for ranges) ranges;
         scan ()
       end

@@ -93,7 +93,7 @@ let make_candidates_for (c : Refine_common.t) ~k ~dp_runs =
    legacy entry points below differ purely in how those are wired. Both
    wirings return identical index ranges, keeping outcomes identical. *)
 let run_with (c : Refine_common.t) ~ranking ~k ~slices ~slca_sub ~slca_full
-    ~slca_full_batch ~prefetch ~iter_partitions =
+    ~iter_partitions =
   let q_keywords = Array.to_list (Array.sub c.ks 0 c.q_size) in
   (* Adaptivity check (Definition 3.4): if the original query itself has a
      meaningful SLCA, no refinement happens. *)
@@ -124,10 +124,6 @@ let run_with (c : Refine_common.t) ~ranking ~k ~slices ~slca_sub ~slca_full
            remembered and skipped while the list's revision holds. *)
         let cset = candidates_for ranges in
         if cset.pure_rev <> Rq_list.revision rqlist then begin
-          (* overlap the walk's independent SLCA runs on the domain
-             pool; the sequential replay below keeps admissions and
-             their order exactly as in the all-sequential walk *)
-          let lookup = prefetch cset.cands ranges rqlist in
           let impure = ref false in
           let rec go = function
             | [] -> ()
@@ -140,12 +136,8 @@ let run_with (c : Refine_common.t) ~ranking ~k ~slices ~slca_sub ~slca_full
                   impure := true;
                   (* Definition 3.4: admit only with a meaningful SLCA in
                      this partition. *)
-                  let slcas =
-                    match lookup key with
-                    | Some slcas -> slcas
-                    | None -> slca_sub ranges rq.Refined_query.keywords
-                  in
-                  if slcas <> [] then ignore (Rq_list.insert rqlist rq)
+                  if slca_sub ranges rq.Refined_query.keywords <> [] then
+                    ignore (Rq_list.insert rqlist rq)
                 end;
                 go rest
               end
@@ -183,16 +175,12 @@ let run_with (c : Refine_common.t) ~ranking ~k ~slices ~slca_sub ~slca_full
           Ranking.rank ~config:ranking c.index.Xr_index.Index.stats ~original:c.query pool
         in
         let top = List.filteri (fun i _ -> i < k) scored in
-        (* Step 2: full-document SLCA computation for the final Top-K —
-           independent passes, one pool task each, joined in rank
-           order. *)
-        let slca_sets =
-          slca_full_batch (List.map (fun (s : Ranking.scored) -> s.rq.Refined_query.keywords) top)
-        in
+        (* Step 2: full-document SLCA computation for the final Top-K. *)
         Result.Refined
-          (List.mapi
-             (fun i (s : Ranking.scored) ->
-               { Result.rq = s.rq; score = Some s; slcas = slca_sets.(i) })
+          (List.map
+             (fun (s : Ranking.scored) ->
+               let slcas = slca_full s.rq.Refined_query.keywords in
+               { Result.rq = s.rq; score = Some s; slcas })
              top)
       end
     in
@@ -217,11 +205,6 @@ let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
   let cursors = Array.map PC.make c.packed in
   let probe = [| 0 |] in
   run_with c ~ranking ~k
-    ~slca_full_batch:(Par_eval.topk_slcas c ~slca)
-    ~prefetch:
-      (if Par_eval.prefetch_enabled c then fun cands ranges rqlist ->
-         Par_eval.prefetch c ~slca ~ranges ~rqlist cands
-       else fun _ _ _ -> Par_eval.none)
     ~slices:(fun pid ->
       Array.init m (fun j ->
           let cur = cursors.(j) in
@@ -252,13 +235,6 @@ let run_legacy ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_eag
   let engine = Slca_engine.compute slca in
   let zeros = Array.make (Array.length c.ks) 0 in
   run_with c ~ranking ~k
-    ~slca_full_batch:(fun keyword_sets ->
-      Array.of_list
-        (List.map
-           (fun kws ->
-             Refine_common.meaningful_slcas c engine (Refine_common.full_lists c kws))
-           keyword_sets))
-    ~prefetch:(fun _ _ _ -> Par_eval.none)
     ~slices:(fun pid -> Refine_common.slices c [| pid |] ~from:zeros)
     ~slca_sub:(fun ranges keywords ->
       Refine_common.meaningful_slcas c engine (Refine_common.sublists c ranges keywords))

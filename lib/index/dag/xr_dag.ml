@@ -22,11 +22,11 @@ type stats = {
    - [class_bounds]/[class_path_off]: occurrence class -> its entry
      range / path-varint range in the expansion.
    - [kw_off]/[kw_blob]: per keyword, [varint total-postings]
-     [varint class-count] [delta-varint ascending class ids]. The two
-     leading varints make {!posting_count}/{!class_count} effectively
-     O(1) without a word-sized table per keyword — at small corpus
-     sizes three int arrays over the vocabulary would eat most of the
-     compression win. *)
+     [varint class-count] [delta-varint ascending class ids]. The
+     leading total makes {!posting_count} effectively O(1) without a
+     word-sized table per keyword — at small corpus sizes three int
+     arrays over the vocabulary would eat most of the compression
+     win. *)
 type t = {
   vocab : int;
   stats : stats;
@@ -247,12 +247,6 @@ let posting_count t kw =
   if kw < 0 || kw >= t.vocab || t.kw_off.(kw) = t.kw_off.(kw + 1) then 0
   else fst (read t.kw_blob t.kw_off.(kw))
 
-let class_count t kw =
-  if kw < 0 || kw >= t.vocab || t.kw_off.(kw) = t.kw_off.(kw + 1) then 0
-  else
-    let _, off = read t.kw_blob t.kw_off.(kw) in
-    fst (read t.kw_blob off)
-
 let class_list t kw =
   if kw < 0 || kw >= t.vocab || t.kw_off.(kw) = t.kw_off.(kw + 1) then [||]
   else begin
@@ -268,10 +262,6 @@ let class_list t kw =
     done;
     cls
   end
-
-let ranges t kw =
-  Array.to_list
-    (Array.map (fun c -> (t.class_bounds.(c), t.class_bounds.(c + 1))) (class_list t kw))
 
 let label_bytes t = P.byte_size t.exp_labels
 

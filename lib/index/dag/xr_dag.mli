@@ -17,14 +17,11 @@
     that sharing, plus dropping the per-posting offset/path words of the
     flat form, is where the compression comes from.
 
-    The structure supports three access paths, all without decompressing
-    the full tree:
+    The structure supports two access paths, neither of which
+    decompresses the full tree:
     - {!merge} expands one keyword's postings to the exact flat packed
       list (document order, byte-identical to the uncompressed build) —
       the lazy per-keyword bridge to every existing kernel;
-    - {!expansion}/{!ranges} expose the class-grouped instance buffer
-      directly, for kernels that walk the expansion lazily
-      ({!Xr_slca.Scan_dag});
     - {!stats}/{!bytes} quantify the sharing for /stats and the bench
       gate. *)
 
@@ -69,11 +66,6 @@ val vocab : t -> int
     O(1), no expansion. *)
 val posting_count : t -> Interner.id -> int
 
-(** [class_count t kw] is the number of distinct occurrence classes in
-    [kw]'s list — the native kernel's cost driver ({!ranges} returns
-    this many ranges). O(1). *)
-val class_count : t -> Interner.id -> int
-
 val postings_total : t -> int
 
 (** [node_dedup_ratio t] is [classes / nodes]: 1.0 means nothing shared,
@@ -86,12 +78,6 @@ val edge_dedup_ratio : t -> float
 (** The shared expansion buffer: every instance of every occurrence
     class, grouped class by class, document order within a class. *)
 val expansion : t -> Dewey.Packed.t
-
-(** [ranges t kw] is [kw]'s occurrence classes as half-open entry ranges
-    of {!expansion}, ascending by class id. Each range is sorted in
-    document order; ranges of one keyword never overlap. The union of
-    the ranges is exactly the keyword's flat posting list. *)
-val ranges : t -> Interner.id -> (int * int) list
 
 (** [merge t kw] expands [kw]'s postings to the flat form: labels in
     document order (byte-identical to what the uncompressed build packs)

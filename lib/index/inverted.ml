@@ -218,6 +218,8 @@ let packed_array t =
 
 let to_flat t = match t.backing with Flat _ -> t | Dag _ -> of_packed (packed_array t)
 
+(* Appends in packed form: the touched lists are never decoded, and the
+   input's boxed views stay unmaterialized. *)
 let extend t ~vocab_size additions =
   let old_packed = packed_array t in
   let n = max vocab_size (Array.length old_packed) in
@@ -225,12 +227,18 @@ let extend t ~vocab_size additions =
   Array.blit old_packed 0 packed 0 (Array.length old_packed);
   List.iter
     (fun (kw, postings) ->
-      let old = if kw < Array.length old_packed then list t kw else [||] in
-      (match (postings, Array.length old) with
-      | p :: _, n0 when n0 > 0 && Dewey.compare old.(n0 - 1).dewey p.dewey >= 0 ->
-        invalid_arg "Inverted.extend: appended postings must extend document order"
-      | _ -> ());
-      packed.(kw) <- pack_postings (Array.append old (Array.of_list postings)))
+      let old = packed.(kw) and fresh = pack_postings (Array.of_list postings) in
+      let n0 = Dewey.Packed.length old.labels in
+      if
+        n0 > 0
+        && Dewey.Packed.length fresh.labels > 0
+        && Dewey.Packed.compare_entries old.labels (n0 - 1) fresh.labels 0 >= 0
+      then invalid_arg "Inverted.extend: appended postings must extend document order";
+      packed.(kw) <-
+        {
+          labels = Dewey.Packed.append old.labels fresh.labels;
+          paths = Array.append old.paths fresh.paths;
+        })
     additions;
   of_packed packed
 

@@ -1,9 +1,16 @@
 (* GC telemetry: pulled [xr_gc_*] families plus snapshot/delta capture
    for per-request attribution. [Gc.quick_stat] never forces a
    collection, so both scraping and per-request capture are safe on the
-   serving path. Minor words come from [Gc.minor_words] instead of the
-   quick_stat field: the latter only advances at minor collections, so
-   a request that fits inside the current arena would read as zero. *)
+   serving path.
+
+   The two read minor words differently. The exported counters sum
+   every domain, because a scrape is answered by whichever worker
+   domain takes it: they read the quick_stat field, which lags by at
+   most one minor heap per live domain. [capture] measures one request
+   on its own domain and reads [Gc.minor_words], which counts only the
+   calling domain but includes its live arena — the quick_stat field
+   only advances at minor collections, so a request that fits inside
+   the current arena would read as zero. *)
 
 let registered = Atomic.make false
 
@@ -28,15 +35,15 @@ let register ?registry () =
       (fun () -> float_of_int (Gc.quick_stat ()).Gc.major_collections);
     counter "xr_gc_compactions_total" "Heap compactions since process start." (fun () ->
         float_of_int (Gc.quick_stat ()).Gc.compactions);
-    counter "xr_gc_minor_words_total" "Words allocated in the minor heap." (fun () ->
-        Gc.minor_words ());
+    counter "xr_gc_minor_words_total" "Words allocated in the minor heap, all domains."
+      (fun () -> (Gc.quick_stat ()).Gc.minor_words);
     counter "xr_gc_promoted_words_total" "Words promoted from the minor to the major heap."
       (fun () -> (Gc.quick_stat ()).Gc.promoted_words);
     counter "xr_gc_allocated_words_total"
       "Total words allocated (minor + major - promoted): the allocation rate base."
       (fun () ->
         let s = Gc.quick_stat () in
-        Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words)
+        s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
   end
 
 type snapshot = {

@@ -237,19 +237,13 @@ let pool_payload () =
         ("parallel_threshold", Json.Int (Xr_slca.Parallel.threshold ()));
       ])
 
-(* Batched-execution counters: shared-scan amortization, tiny-kernel
-   dispatch, plan-cache effectiveness, single-flight coalescing, and
-   the bitsliced prefix filter's selectivity — the numbers behind the
+(* Batched-execution counters: tiny-kernel dispatch, plan-cache
+   effectiveness and single-flight coalescing — the numbers behind the
    batch path's claimed wins, in one /stats block. *)
 let batch_payload ~enabled ~plan_entries () =
-  let examined = Xr_index.Bitslice.entries_examined () in
-  let selected = Xr_index.Bitslice.entries_selected () in
   Json.Obj
     [
       ("enabled", Json.Bool enabled);
-      ("shared_scan_batches", Json.Int (Xr_slca.Shared_scan.batches ()));
-      ("shared_scan_members", Json.Int (Xr_slca.Shared_scan.members_fed ()));
-      ("shared_scan_saved_decodes", Json.Int (Xr_slca.Shared_scan.saved_decodes ()));
       ("tiny_scans", Json.Int (Xr_slca.Scan_packed.tiny_scans ()));
       ("plan_cache_entries", Json.Int plan_entries);
       ("plan_cache_hits", Json.Int (Xr_batch.Plan_cache.hits ()));
@@ -258,11 +252,6 @@ let batch_payload ~enabled ~plan_entries () =
       ("coalesce_leaders", Json.Int (Xr_batch.Coalesce.leaders ()));
       ("coalesce_followers", Json.Int (Xr_batch.Coalesce.followers ()));
       ("coalesce_helped_tasks", Json.Int (Xr_batch.Coalesce.helped ()));
-      ("bitslice_entries_examined", Json.Int examined);
-      ("bitslice_entries_selected", Json.Int selected);
-      ( "bitslice_selectivity",
-        Json.Float
-          (if examined = 0 then 1. else float_of_int selected /. float_of_int examined) );
     ]
 
 let stats_payload ?pool ?batch (index : Index.t) =
@@ -366,9 +355,6 @@ let explain_payload (x : Xr_batch.Plan.explain_search) =
        ("algorithm", Json.String x.P.x_algorithm);
        ("index_mode", Json.String x.P.x_index_mode);
      ]
-    @ (match x.P.x_dag_kernel with
-      | Some k -> [ ("dag_kernel", Json.String k) ]
-      | None -> [])
     @ [ ("keywords", Json.List (List.map keyword x.P.x_keywords)) ]
     @ (match x.P.x_missing with
       | [] -> []

@@ -46,9 +46,9 @@ val complete_payload : prefix:string -> (string * int) list -> Json.t
 val pool_payload : unit -> Json.t
 
 (** [batch_payload ~enabled ~plan_entries ()] renders the batched
-    execution counters — shared-scan amortization, tiny-kernel
-    dispatch, plan-cache hit/miss/eviction, single-flight coalescing
-    and bitslice selectivity — the [/stats] "batch" section. *)
+    execution counters — tiny-kernel dispatch, plan-cache
+    hit/miss/eviction and single-flight coalescing — the [/stats]
+    "batch" section. *)
 val batch_payload : enabled:bool -> plan_entries:int -> unit -> Json.t
 
 (** [stats_payload index] is the document-statistics view: node and
@@ -62,7 +62,7 @@ val trace_payload : (int * Xr_obs.Tracing.span list) list -> Json.t
 
 (** [explain_payload x] renders a compiled-plan explanation as the
     ["explain"] block of a /search (or /refine) response: kernel +
-    reason, algorithm, index mode (and dag dispatch), the keyword lists
+    reason, algorithm, index mode, the keyword lists
     in executed order with posting counts, and the parallel section
     (estimate/threshold/measured cost, grain curve, chunk bounds). *)
 val explain_payload : Xr_batch.Plan.explain_search -> Json.t

@@ -43,10 +43,10 @@ type config = {
   keepalive_requests : int;  (** max requests served per connection; default 1000 *)
   result_limit : int;  (** default cap on rendered result arrays; default 20 *)
   parallel_threshold : int;
-      (** postings below which SLCA/refinement subtasks skip the shared
-          {!Xr_pool} and run sequentially (applied process-wide via
-          {!Xr_slca.Parallel.set_threshold} at {!start});
-          default {!Xr_slca.Parallel.default_threshold} *)
+      (** modeled cost below which an SLCA run, in search or refinement,
+          skips the shared {!Xr_pool} and runs sequentially (applied
+          process-wide via {!Xr_slca.Parallel.set_threshold} at
+          {!start}); default {!Xr_slca.Parallel.default_threshold} *)
   limits : Http.limits;
   log : bool;  (** request log on stderr; default false *)
   trace : bool;

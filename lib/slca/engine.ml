@@ -40,12 +40,6 @@ let packed_partner = function
   | Scan_eager | Indexed_lookup | Multiway | Scan_packed -> Scan_packed
   | Scan_parallel -> Scan_parallel
 
-(* The same results without fork/join: what a pool worker should run
-   when the fan-out already happened one level up. *)
-let sequential_partner = function
-  | Scan_parallel -> Scan_packed
-  | (Stack | Scan_eager | Indexed_lookup | Multiway | Stack_packed | Scan_packed) as a -> a
-
 let pack_list (l : Inverted.posting array) =
   Dewey.Packed.of_array (Array.map (fun p -> p.Inverted.dewey) l)
 
@@ -94,27 +88,20 @@ let compute_ranges alg ranges =
       | Stack | Scan_eager | Indexed_lookup | Multiway ->
         compute_raw alg (List.map unpack_range ranges))
 
-(* On a DAG-backed index the scan engines answer eligible queries
-   natively on the compressed expansion (identical results by
-   construction — see {!Scan_dag}); everything else falls through to
-   the memoized merged lists, where every algorithm behaves exactly as
-   on a flat index. [Stack_packed] always takes the merged path: it is
-   benchmarked as a distinct kernel and must keep measuring itself. *)
+(* On a DAG-backed index every algorithm runs on the memoized merged
+   lists, so it behaves exactly as on a flat index. *)
 let query_ids alg (index : Xr_index.Index.t) ids =
   scan_span (fun () ->
-      match Inverted.dag index.inverted with
-      | Some dag
-        when (match alg with Scan_packed | Scan_parallel -> true | _ -> false)
-             && Scan_dag.eligible dag ids -> Scan_dag.compute dag ids
-      | _ ->
-        if is_packed alg then begin
-          (* DAG backing: merge the missing flat views concurrently
-             before the (inherently serial) list mapping below *)
-          Inverted.prefetch index.inverted ids;
-          compute_packed_raw alg
-            (List.map (fun kw -> (Inverted.packed_list index.inverted kw).Inverted.labels) ids)
-        end
-        else compute_raw alg (List.map (fun kw -> Inverted.list index.inverted kw) ids))
+      if is_packed alg then begin
+        (* DAG backing: merge the missing flat views concurrently
+           before the (inherently serial) list mapping below *)
+        Inverted.prefetch index.inverted ids;
+        compute_packed_raw alg
+          (List.map
+             (fun kw -> (Inverted.packed_list index.inverted kw).Inverted.labels)
+             ids)
+      end
+      else compute_raw alg (List.map (fun kw -> Inverted.list index.inverted kw) ids))
 
 let query alg (index : Xr_index.Index.t) keywords =
   (* duplicate keywords add no constraint under conjunctive semantics *)

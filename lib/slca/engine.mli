@@ -34,12 +34,6 @@ val is_packed : algorithm -> bool
     configured list-based engine while staying on the packed substrate. *)
 val packed_partner : algorithm -> algorithm
 
-(** [sequential_partner alg] strips intra-query parallelism:
-    {!Scan_parallel} maps to {!Scan_packed}, everything else to itself.
-    Work already running on a pool worker uses this to avoid nested
-    fork/join. *)
-val sequential_partner : algorithm -> algorithm
-
 (** [compute alg lists] is the SLCA set (document order) of the
     conjunction of the keywords whose posting lists are given. Packed
     algorithms pack the given lists on the fly — use {!compute_packed}

@@ -49,21 +49,9 @@ val measure :
     [pool] of size [> 1] and at least two partners, partner gallops
     run concurrently (one task per partner list). *)
 
-val measure_driver :
-  ?pool:Xr_pool.t ->
-  ?grains:int ->
-  driver:(Dewey.Packed.t * int * int) ->
-  (Dewey.Packed.t * int * int) list ->
-  masses
-(** As {!measure} for a caller that already knows the driver — the
-    shared-scan batch kernel, whose groups fix the driver up front. *)
-
 val estimate : (Dewey.Packed.t * int * int) list -> float
 (** Upper bound of the measured total cost, from range lengths alone
     (free: no cursor moves). The first stage of the cost gate. *)
-
-val estimate_driver :
-  driver:(Dewey.Packed.t * int * int) -> (Dewey.Packed.t * int * int) list -> float
 
 val total_cost : masses -> float
 
@@ -112,12 +100,6 @@ val compute_ranges :
 
 val compute :
   ?pool:Xr_pool.t -> ?chunks:int -> ?threshold:int -> Dewey.Packed.t list -> Dewey.t list
-
-val prune_merge : Dewey.t list array -> Dewey.t list
-(** Replay the held-candidate prune over concatenated per-chunk
-    survivor streams — the boundary fix-up. Exposed for the
-    shared-scan batch kernel, whose chunked groups merge each member's
-    survivors the same way. *)
 
 (** {1 Sequential-fallback cost gate}
 

@@ -68,19 +68,6 @@ val set_tiny_threshold : int -> unit
     ([xr_slca_tiny_scans_total]). *)
 val tiny_scans : unit -> int
 
-(** [probe pk ~lo ~hi pos ci v vd] is the tiny kernel's partner probe:
-    gallop-then-binary-search the range [\[lo, hi)] of [pk] for the
-    first entry [>= v] (depth [vd]) starting from position [pos.(ci)]
-    (updated in place, monotone over ascending [v]), returning the
-    maximum common-prefix length of [v] against the range — achieved at
-    the insertion point or its left neighbor ([-1] on an empty range).
-    The probe sequence coincides step for step with
-    [Cursor.Packed.match_probe]. Also the per-range primitive of the
-    DAG kernel ({!Scan_dag}), whose per-keyword partner depth is the
-    max of this over the keyword's class ranges. *)
-val probe :
-  Dewey.Packed.t -> lo:int -> hi:int -> int array -> int -> Dewey.t -> int -> int
-
 (** [scan_tiny ~driver ~others ()] is {!scan_chunk} computed with bare
     binary searches over position arrays instead of galloping cursors —
     same candidate stream, same online prune, no per-scan setup cost.

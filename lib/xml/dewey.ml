@@ -140,6 +140,18 @@ module Packed = struct
 
   let of_list l = of_array (Array.of_list l)
 
+  (* Entries are self-delimiting, so the concatenated buffer holds
+     [b]'s entries verbatim: only their offsets move. *)
+  let append a b =
+    let na = length a and nb = length b in
+    let shift = String.length a.buf in
+    let offsets = Array.make (na + nb + 1) 0 in
+    Array.blit a.offsets 0 offsets 0 na;
+    for i = 0 to nb do
+      offsets.(na + i) <- b.offsets.(i) + shift
+    done;
+    { buf = a.buf ^ b.buf; offsets; max_depth = max a.max_depth b.max_depth }
+
   (* ---- per-entry access ------------------------------------------------- *)
 
   let check t i =

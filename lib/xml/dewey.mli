@@ -87,6 +87,11 @@ module Packed : sig
 
   val of_list : int array list -> t
 
+  (** [append a b] holds [a]'s entries followed by [b]'s — the same
+      buffer {!of_array} packs from the concatenated labels, built
+      without decoding either side. *)
+  val append : t -> t -> t
+
   (** [get t i] materializes entry [i] (slow path / compatibility). *)
   val get : t -> int -> int array
 

@@ -5,8 +5,11 @@
 # (including the trace-id exemplar suffix on histogram buckets),
 # TYPE-before-samples ordering, histogram bucket monotonicity, and the
 # presence of the core xr_* families (request, cache, pool, GC, and
-# cost-model-drift). Also asserts /metrics.json still parses as JSON
-# with an application/json content type.
+# cost-model-drift), and that the scraped xr_* families match the
+# metric tables of doc/OBSERVABILITY.md both ways: every family in the
+# scrape has a row, and every row names a family in the scrape. Also
+# asserts /metrics.json still parses as JSON with an application/json
+# content type.
 #
 # Usage:
 #   scripts/check_metrics.sh            # builds with dune, random-ish port
@@ -84,10 +87,10 @@ ct=$(curl -s -o "$TMP/metrics.txt" -w '%{content_type}' "$BASE/metrics")
 [ "$ct" = "text/plain; version=0.0.4" ] \
   || fail "/metrics content-type is '$ct' (want 'text/plain; version=0.0.4')"
 
-python3 - "$TMP/metrics.txt" <<'EOF'
+python3 - "$TMP/metrics.txt" doc/OBSERVABILITY.md <<'EOF'
 import re, sys
 
-path = sys.argv[1]
+path, doc_path = sys.argv[1], sys.argv[2]
 with open(path) as f:
     lines = f.read().split("\n")
 
@@ -202,6 +205,23 @@ required = [
 for fam in required:
     if fam not in types:
         fail(f"required family {fam} missing from /metrics")
+
+# The metric catalog: the backticked xr_* names in the first cell of
+# every table row of the docs must be exactly the scraped families.
+documented = set()
+with open(doc_path) as f:
+    for line in f:
+        cells = line.strip().split("|")
+        if line.startswith("|") and len(cells) > 2:
+            documented.update(re.findall(r'`(xr_[a-zA-Z0-9_]+)`', cells[1]))
+scraped = {fam for fam in types if fam.startswith("xr_")}
+for fam in sorted(scraped - documented):
+    print(f"check-metrics: FAIL - family {fam} has no row in {doc_path}", file=sys.stderr)
+for fam in sorted(documented - scraped):
+    print(f"check-metrics: FAIL - {doc_path} documents {fam}, absent from /metrics",
+          file=sys.stderr)
+if scraped != documented:
+    sys.exit(1)
 
 # The request-latency histogram must carry at least one exemplar after
 # the warm-up traffic (every non-zero trace id is recorded

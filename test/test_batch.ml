@@ -1,17 +1,14 @@
-(* Batched execution: the bitsliced prefix filter against its per-entry
-   reference, the tiny-driver kernel against the general scan, shared
-   driver passes against one-at-a-time execution (pool sizes 1 and 4),
-   compiled plans against the uncompiled engine (byte-compared through
-   the served payloads), plan-cache hit/eviction/single-flight
+(* Batched execution: the tiny-driver kernel against the general scan,
+   concurrent chunked queries over shared lists against one-at-a-time
+   scans, compiled plans against the uncompiled engine (byte-compared
+   through the served payloads), plan-cache hit/eviction/single-flight
    behaviour and its generation-keyed invalidation across an ingest
    publish, and the single-flight coalescer's leader/follower
    contract. *)
 
 open Xr_xml
 module P = Dewey.Packed
-module Bitslice = Xr_index.Bitslice
 module Scan_packed = Xr_slca.Scan_packed
-module Shared_scan = Xr_slca.Shared_scan
 module Slca_engine = Xr_slca.Engine
 module Index = Xr_index.Index
 module Inverted = Xr_index.Inverted
@@ -43,66 +40,6 @@ let print_lists lists =
   String.concat "; "
     (List.map (fun l -> String.concat " " (List.map Dewey.to_string l)) lists)
 
-(* ---- bitslice ------------------------------------------------------------ *)
-
-let selected mask =
-  let acc = ref [] in
-  Bitslice.iter mask (fun i -> acc := i :: !acc);
-  List.rev !acc
-
-let arb_bitslice_case =
-  let gen =
-    QCheck.Gen.(
-      gen_sorted_labels >>= fun labels ->
-      let n = List.length labels in
-      int_range 0 n >>= fun lo ->
-      int_range lo n >>= fun hi ->
-      (* half the time probe a prefix taken from a real entry, so the
-         selection is frequently nonempty *)
-      oneof
-        [
-          map Array.of_list (list_size (int_bound 3) (int_bound 5));
-          ( int_bound (max 0 (n - 1)) >>= fun i ->
-            let l = List.nth labels i in
-            int_bound (Array.length l) >>= fun plen -> return (Array.sub l 0 plen) );
-        ]
-      >>= fun prefix -> return (labels, lo, hi, prefix))
-  in
-  let print (labels, lo, hi, prefix) =
-    Printf.sprintf "lo=%d hi=%d prefix=[%s] labels=[%s]" lo hi
-      (String.concat ";" (Array.to_list (Array.map string_of_int prefix)))
-      (print_lists [ labels ])
-  in
-  QCheck.make ~print gen
-
-let prop_bitslice_eq_probed =
-  QCheck.Test.make ~name:"bitsliced prefix filter = per-entry probe" ~count:500
-    arb_bitslice_case (fun (labels, lo, hi, prefix) ->
-      let pk = P.of_list labels in
-      let plen = Array.length prefix in
-      let fast = Bitslice.under pk ~lo ~hi ~prefix ~plen in
-      let slow = Bitslice.under_probed pk ~lo ~hi ~prefix ~plen in
-      selected fast = selected slow
-      && Bitslice.cardinal fast = Bitslice.cardinal slow
-      && List.for_all (fun i -> Bitslice.mem fast i) (selected fast))
-
-let test_bitslice_words () =
-  (* > 63 entries under one prefix: interior mask words are stored as
-     single all-ones writes and [iter] dispatches them without per-bit
-     tests — make sure the word-granular paths agree with reality. *)
-  let labels =
-    List.init 200 (fun i -> [| 1; i |]) @ List.init 10 (fun i -> [| 2; i |])
-  in
-  let pk = P.of_list (List.sort_uniq Dewey.compare labels) in
-  let n = P.length pk in
-  let mask = Bitslice.under pk ~lo:0 ~hi:n ~prefix:[| 1 |] ~plen:1 in
-  check Alcotest.int "cardinal" 200 (Bitslice.cardinal mask);
-  check Alcotest.(list int) "selected indices" (List.init 200 (fun i -> i)) (selected mask);
-  let empty = Bitslice.under pk ~lo:0 ~hi:n ~prefix:[| 7 |] ~plen:1 in
-  check Alcotest.int "disjoint prefix selects nothing" 0 (Bitslice.cardinal empty);
-  let all = Bitslice.under pk ~lo:3 ~hi:50 ~prefix:[||] ~plen:0 in
-  check Alcotest.int "empty prefix selects the whole range" 47 (Bitslice.cardinal all)
-
 (* ---- tiny kernel = general kernel ---------------------------------------- *)
 
 let arb_lists =
@@ -128,108 +65,48 @@ let test_tiny_dispatch_counted () =
   check Alcotest.bool "tiny scan counted" true (Scan_packed.tiny_scans () > before);
   check Alcotest.(list string) "result" [ "0.1" ] (List.map Dewey.to_string r)
 
-(* ---- shared scans = one-at-a-time ---------------------------------------- *)
+(* ---- concurrent queries over shared lists = one-at-a-time ---------------- *)
 
 let shared_pool = lazy (Xr_pool.create ~domains:4 ())
 
-(* Batches share physical lists across queries (the coalescing case) on
-   top of random private ones. *)
-let arb_batch =
+(* Queries share physical packed lists (what concurrent requests for
+   overlapping keywords read) on top of random private ones. *)
+let arb_shared_batch =
   let gen =
     QCheck.Gen.(
       list_size (int_range 1 3) gen_sorted_labels >>= fun commons ->
       let commons = List.map P.of_list commons in
       list_size (int_range 1 6)
         (list_size (int_range 0 2) gen_sorted_labels >>= fun privates ->
-         let privates = List.map P.of_list privates in
-         oneofl [ [] ] >>= fun _ ->
          int_range 0 (List.length commons) >>= fun take ->
-         let rec firstn n = function
-           | x :: rest when n > 0 -> x :: firstn (n - 1) rest
-           | _ -> []
-         in
-         return (firstn take commons @ privates)))
+         return
+           (List.filteri (fun i _ -> i < take) commons @ List.map P.of_list privates)))
   in
   QCheck.make
     ~print:(fun batch ->
       String.concat " || "
         (List.map
            (fun q ->
-             print_lists
-               (List.map (fun pk -> List.init (P.length pk) (P.get pk)) q))
+             print_lists (List.map (fun pk -> List.init (P.length pk) (P.get pk)) q))
            batch))
     gen
 
-let batch_queries batch =
-  List.map (List.map (fun pk -> (pk, 0, P.length pk))) batch
-
-let prop_run_batch_eq_solo pool_size =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "run_batch = per-query scans, pool size %d" pool_size)
-    ~count:200 arb_batch (fun batch ->
-      let queries = batch_queries batch in
+let prop_concurrent_shared_eq_solo =
+  QCheck.Test.make ~name:"concurrent chunked scans = solo" ~count:200
+    arb_shared_batch (fun batch ->
+      let queries = List.map (List.map (fun pk -> (pk, 0, P.length pk))) batch in
       let solo = List.map Scan_packed.compute_ranges queries in
-      let pool =
-        if pool_size = 1 then Xr_pool.create ~domains:1 () else Lazy.force shared_pool
-      in
-      let batched = Shared_scan.run_batch ~pool queries in
-      if pool_size = 1 then Xr_pool.shutdown pool;
-      List.equal (List.equal Dewey.equal) solo batched)
-
-let prop_run_batch_chunked_eq_solo =
-  QCheck.Test.make ~name:"run_batch with forced chunking = per-query scans" ~count:200
-    arb_batch (fun batch ->
-      let queries = batch_queries batch in
-      let solo = List.map Scan_packed.compute_ranges queries in
-      List.for_all
-        (fun chunks ->
-          List.equal (List.equal Dewey.equal) solo
-            (Shared_scan.run_batch ~pool:(Lazy.force shared_pool) ~chunks queries))
-        [ 2; 3; 5 ])
-
-let test_run_batch_root_mask () =
-  (* Two queries scoped to the [2] subtree of a shared driver list: the
-     grouped pass must take the masked full-list path (the driver range
-     equals the prefix slice) and still return the per-query results. *)
-  let driver_labels =
-    List.init 30 (fun i -> [| 1; i |])
-    @ List.init 40 (fun i -> [| 2; i |])
-    @ List.init 30 (fun i -> [| 3; i |])
-  in
-  let driver = P.of_list driver_labels in
-  let lo, hi = P.prefix_slice_sub driver ~lo:0 [| 2 |] 1 in
-  check Alcotest.bool "slice found" true (hi - lo = 40);
-  (* partners strictly longer than the driver slice, so the shared
-     driver really is the rarest list of both queries and the grouper
-     coalesces them *)
-  let partner1 = P.of_list (List.init 50 (fun i -> [| 2; i; 1 |])) in
-  let partner2 = P.of_list (List.init 45 (fun i -> [| 2; i; 2 |])) in
-  let q1 = [ (driver, lo, hi); (partner1, 0, P.length partner1) ] in
-  let q2 = [ (driver, lo, hi); (partner2, 0, P.length partner2) ] in
-  let before = Shared_scan.batches () in
-  let batched = Shared_scan.run_batch ~root:[| 2 |] [ q1; q2 ] in
-  let solo = List.map Scan_packed.compute_ranges [ q1; q2 ] in
-  check Alcotest.bool "one shared pass ran" true (Shared_scan.batches () > before);
-  check Alcotest.bool "masked batch = solo" true
-    (List.equal (List.equal Dewey.equal) solo batched);
-  (* a root that does not bound the range must be ignored, not trusted *)
-  let wrong = Shared_scan.run_batch ~root:[| 1 |] [ q1; q2 ] in
-  check Alcotest.bool "mismatched root hint ignored" true
-    (List.equal (List.equal Dewey.equal) solo wrong)
-
-let test_run_batch_disabled () =
-  let queries =
-    batch_queries
-      [ [ P.of_list [ [| 1; 1 |]; [| 2 |] ]; P.of_list [ [| 1 |] ] ] ]
-  in
-  Shared_scan.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Shared_scan.set_enabled true)
-    (fun () ->
-      check Alcotest.bool "disabled path = solo" true
-        (List.equal (List.equal Dewey.equal)
-           (List.map Scan_packed.compute_ranges queries)
-           (Shared_scan.run_batch queries)))
+      let pool = Lazy.force shared_pool in
+      (* every query is its own pool task and forks its own chunks into
+         the same pool (nested run), so scans of one list overlap *)
+      let results = Array.make (List.length queries) [] in
+      Xr_pool.run pool
+        (Array.of_list
+           (List.mapi
+              (fun i q () ->
+                results.(i) <- Xr_slca.Parallel.compute_ranges ~pool ~chunks:(2 + (i mod 3)) q)
+              queries));
+      List.equal (List.equal Dewey.equal) solo (Array.to_list results))
 
 (* ---- compiled plans = uncompiled engine ---------------------------------- *)
 
@@ -591,24 +468,12 @@ let test_server_batch_off_identical () =
 let () =
   Alcotest.run "xr_batch"
     [
-      ( "bitslice",
-        [
-          qcheck prop_bitslice_eq_probed;
-          Alcotest.test_case "word-granular paths" `Quick test_bitslice_words;
-        ] );
       ( "tiny",
         [
           qcheck prop_tiny_eq_chunk;
           Alcotest.test_case "dispatch counted" `Quick test_tiny_dispatch_counted;
         ] );
-      ( "shared-scan",
-        [
-          qcheck (prop_run_batch_eq_solo 1);
-          qcheck (prop_run_batch_eq_solo 4);
-          qcheck prop_run_batch_chunked_eq_solo;
-          Alcotest.test_case "root mask" `Quick test_run_batch_root_mask;
-          Alcotest.test_case "disabled = solo" `Quick test_run_batch_disabled;
-        ] );
+      ("shared-list", [ qcheck prop_concurrent_shared_eq_solo ]);
       ( "plans",
         [
           Alcotest.test_case "search plan = engine" `Quick test_plan_search_eq_engine;

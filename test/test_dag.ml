@@ -12,7 +12,6 @@ module P = Dewey.Packed
 module Inverted = Xr_index.Inverted
 module Index = Xr_index.Index
 module Engine = Xr_slca.Engine
-module Scan_dag = Xr_slca.Scan_dag
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -41,8 +40,8 @@ let keywords_by_frequency (index : Index.t) =
   Inverted.iter_lengths (fun kw n -> if n > 0 then acc := (kw, n) :: !acc) index.Index.inverted;
   List.map fst (List.sort (fun (_, a) (_, b) -> Int.compare b a) !acc)
 
-(* Query mix: frequent pairs/triples (merged path), rare pairs (native
-   path on the dag side), and a frequent/rare mix. *)
+(* Query mix: frequent pairs/triples, rare pairs, and a frequent/rare
+   mix. *)
 let query_mix (index : Index.t) =
   match keywords_by_frequency index with
   | [] | [ _ ] -> []
@@ -117,8 +116,8 @@ let test_merge_byte_identical () =
       assert_lists_identical name flat dagged)
     (Lazy.force corpora)
 
-(* Engines under test on the dag side: the packed scan family (subject
-   to native dispatch) plus the packed stack (always merged path). *)
+(* Engines under test on the dag side: the packed scan family plus the
+   packed stack. *)
 let engines = [ Engine.Scan_packed; Engine.Stack_packed; Engine.Scan_parallel ]
 
 let assert_queries_equal name (flat : Index.t) (dagged : Index.t) queries =
@@ -131,12 +130,7 @@ let assert_queries_equal name (flat : Index.t) (dagged : Index.t) queries =
           check dewey_list
             (Printf.sprintf "%s %s on dag" name (Engine.name alg))
             reference got)
-        engines;
-      (* the native kernel itself, forced regardless of dispatch
-         eligibility — the per-range probe argument must hold on big
-         multi-class lists too *)
-      check dewey_list (name ^ " scan_dag native") reference
-        (Scan_dag.compute (dag_of dagged) ids))
+        engines)
     queries
 
 let test_engines_equivalent () =
@@ -145,18 +139,6 @@ let test_engines_equivalent () =
       let flat, dagged = both_builds doc in
       assert_queries_equal name flat dagged (query_mix flat))
     (Lazy.force corpora)
-
-(* The dispatch gate must have fired at least once across the rare-pair
-   queries above — otherwise the native kernel is dead code in CI. *)
-let test_native_dispatch_fires () =
-  let doc = Xr_data.Figure1.doc () in
-  let _, dagged = both_builds doc in
-  let before = Scan_dag.native_scans () in
-  List.iter
-    (fun ids -> ignore (Engine.query_ids Engine.Scan_packed dagged ids))
-    (query_mix dagged);
-  if Scan_dag.native_scans () = before then
-    Alcotest.fail "no query of the figure1 mix took the native dag path"
 
 let test_refinement_equivalent () =
   List.iter
@@ -327,7 +309,6 @@ let () =
       ( "equivalence",
         [
           Alcotest.test_case "engines flat = dag (all corpora)" `Quick test_engines_equivalent;
-          Alcotest.test_case "native dispatch fires" `Quick test_native_dispatch_fires;
           Alcotest.test_case "refinement flat = dag" `Quick test_refinement_equivalent;
           Alcotest.test_case "adversarial shapes" `Quick test_adversarial_fixed;
           qcheck prop_random_trees;

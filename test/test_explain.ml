@@ -66,7 +66,7 @@ let golden =
       \         year                 id=12     postings=6\n" );
     ( "figure1",
       "dag",
-      "plan: tiny kernel (algorithm scan-parallel, index dag, dag dispatch scan_dag)\n\
+      "plan: tiny kernel (algorithm scan-parallel, index dag)\n\
       \  reason: driver range 6 <= tiny threshold 24: cursor-free tiny kernel\n\
       \  lists: title                id=7      postings=6\n\
       \         year                 id=12     postings=6\n" );
@@ -79,7 +79,7 @@ let golden =
       \  parallel: estimate=1706 threshold=4096 measured=- pool=2\n" );
     ( "baseball",
       "dag",
-      "plan: scan kernel (algorithm scan-parallel, index dag, dag dispatch merged)\n\
+      "plan: scan kernel (algorithm scan-parallel, index dag)\n\
       \  reason: estimated cost 1706 below parallel threshold 4096: sequential scan\n\
       \  lists: name                 id=4      postings=578\n\
       \         runs                 id=25     postings=1080\n\
@@ -93,7 +93,7 @@ let golden =
       \  parallel: estimate=439 threshold=4096 measured=- pool=2\n" );
     ( "auction",
       "dag",
-      "plan: scan kernel (algorithm scan-parallel, index dag, dag dispatch merged)\n\
+      "plan: scan kernel (algorithm scan-parallel, index dag)\n\
       \  reason: estimated cost 439 below parallel threshold 4096: sequential scan\n\
       \  lists: interest             id=488    postings=161\n\
       \         name                 id=5      postings=212\n\
@@ -107,7 +107,7 @@ let golden =
       \  parallel: estimate=903 threshold=4096 measured=- pool=2\n" );
     ( "dblp",
       "dag",
-      "plan: scan kernel (algorithm scan-parallel, index dag, dag dispatch merged)\n\
+      "plan: scan kernel (algorithm scan-parallel, index dag)\n\
       \  reason: estimated cost 903 below parallel threshold 4096: sequential scan\n\
       \  lists: title                id=9      postings=300\n\
       \         author               id=2      postings=607\n\
@@ -255,6 +255,36 @@ let test_runtime_delta () =
   Runtime.register ();
   Runtime.register ()
 
+let exported name =
+  match
+    List.find_opt
+      (fun m -> m.Registry.m_name = name)
+      (Registry.collect (Registry.default ()))
+  with
+  | Some { Registry.m_samples = [ { Registry.s_value = Registry.V_int v; _ } ]; _ } -> v
+  | _ -> Alcotest.failf "no single %s counter sample in the registry" name
+
+(* /metrics is answered by whichever worker domain takes the scrape, so
+   the exported allocation counters must include what other domains
+   allocated, not only the scraping domain's own arena. *)
+let test_gc_counters_all_domains () =
+  Runtime.register ();
+  let words = 10_000_000 in
+  let minor0 = exported "xr_gc_minor_words_total" in
+  let alloc0 = exported "xr_gc_allocated_words_total" in
+  Domain.join
+    (Domain.spawn (fun () ->
+         (* a pair is three words: header plus two fields *)
+         for i = 1 to (words / 3) + 1 do
+           ignore (Sys.opaque_identity (i, i))
+         done));
+  let minor = exported "xr_gc_minor_words_total" - minor0 in
+  let alloc = exported "xr_gc_allocated_words_total" - alloc0 in
+  if minor < words then
+    Alcotest.failf "xr_gc_minor_words_total rose by %d, want >= %d" minor words;
+  if alloc < words then
+    Alcotest.failf "xr_gc_allocated_words_total rose by %d, want >= %d" alloc words
+
 (* ---- exemplars ------------------------------------------------------------ *)
 
 let test_exemplars () =
@@ -309,7 +339,11 @@ let () =
           Alcotest.test_case "report chunks + drift" `Quick test_report_chunks;
         ] );
       ( "runtime",
-        [ Alcotest.test_case "gc delta" `Quick test_runtime_delta ] );
+        [
+          Alcotest.test_case "gc delta" `Quick test_runtime_delta;
+          Alcotest.test_case "gc counters count every domain" `Quick
+            test_gc_counters_all_domains;
+        ] );
       ( "exemplars",
         [ Alcotest.test_case "capture and exposition" `Quick test_exemplars ] );
     ]

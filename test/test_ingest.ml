@@ -5,6 +5,7 @@
 
 open Xr_xml
 module Index = Xr_index.Index
+module Inverted = Xr_index.Inverted
 module Generation = Xr_ingest.Generation
 module Ingest = Xr_ingest.Ingest
 module Server = Xr_server.Server
@@ -118,6 +119,22 @@ let test_fork_isolation () =
   in
   let after = List.map (search_bytes index) queries in
   List.iter2 (check Alcotest.string "original index bytes undisturbed") before after
+
+(* A flat append extends the touched lists in packed form, so it
+   decodes nothing into the boxed view — neither on the input, whose
+   table a fork shares with the generation still serving, nor on the
+   result. *)
+let test_append_keeps_lists_packed () =
+  let index = Index.build ~mode:Index.Flat (Xr_data.Figure1.doc ()) in
+  let appended =
+    Index.append_partition (Index.fork index)
+      (Tree.elem "inproceedings"
+         [ Tree.Elem (Tree.leaf "title" "xml database levy title fresh") ])
+  in
+  check Alcotest.int "input lists stay packed" 0
+    (Inverted.materialization_count index.Index.inverted);
+  check Alcotest.int "appended lists stay packed" 0
+    (Inverted.materialization_count appended.Index.inverted)
 
 (* ---- equivalence with from-scratch rebuilds ------------------------------ *)
 
@@ -442,6 +459,8 @@ let () =
       ( "equivalence",
         [
           Alcotest.test_case "fork isolation" `Quick test_fork_isolation;
+          Alcotest.test_case "append keeps lists packed" `Quick
+            test_append_keeps_lists_packed;
           Alcotest.test_case "interleavings = rebuild, pool size 1" `Quick
             (run_prop_with_pool 1);
           Alcotest.test_case "interleavings = rebuild, pool size 4" `Quick

@@ -113,6 +113,12 @@ let prop_compare_entries =
       done;
       !ok)
 
+let prop_append =
+  QCheck.Test.make ~name:"packed append = packing the concatenation" ~count:200
+    (QCheck.pair arb_sorted_labels arb_sorted_labels) (fun (a, b) ->
+      P.to_raw (P.append (P.of_list a) (P.of_list b)) = P.to_raw (P.of_list (a @ b))
+      && P.to_raw (P.append P.empty (P.of_list b)) = P.to_raw (P.of_list b))
+
 (* ---- Cursor.Packed ------------------------------------------------------ *)
 
 let test_cursor_basics () =
@@ -259,6 +265,7 @@ let () =
           qcheck prop_compare_consistent;
           qcheck prop_lower_bound;
           qcheck prop_compare_entries;
+          qcheck prop_append;
         ] );
       ( "cursor-packed",
         [
