@@ -29,7 +29,8 @@ bench:
 	dune exec bench/dag_bench.exe -- --smoke
 
 # Regression gate: committed BENCH files and a fresh smoke run must both
-# keep every packed-vs-legacy aggregate speedup at >= 1.0.
+# keep every packed-vs-reference SLCA aggregate speedup at >= 1.0 (the
+# refinement bench is shape-checked; see scripts/bench_gate.sh).
 benchgate: build
 	scripts/bench_gate.sh
 

@@ -1,5 +1,5 @@
-(* Refinement pipeline benchmark: packed vs legacy (boxed posting array)
-   algorithm implementations on the bundled corpora. Usage:
+(* Refinement pipeline benchmark: absolute time of the three refinement
+   algorithms on the bundled corpora. Usage:
 
      dune exec bench/refine_bench.exe                 # full sizes
      dune exec bench/refine_bench.exe -- --smoke      # small sizes (CI)
@@ -7,9 +7,9 @@
 
    Each corpus runs four workloads exercising one rewrite operation each
    (deletion / merging / split / substitution); each workload times the
-   three algorithms in both forms after asserting their outcomes are
-   identical, and checks that the packed runs never materialize a boxed
-   posting list. Writes BENCH_refine.json (see doc/PERF.md). *)
+   three algorithms on the packed lists. Writes BENCH_refine.json (see
+   doc/PERF.md); correctness is the oracle suite's job
+   (test/test_refine_packed.ml). *)
 
 module Index = Xr_index.Index
 module Inverted = Xr_index.Inverted
@@ -22,26 +22,21 @@ let time_ns f =
   f ();
   (Unix.gettimeofday () -. t0) *. 1e9
 
-(* A/B comparison resistant to clock drift: samples of [fa] and [fb]
-   interleave within one run and each side keeps its best (minimum)
-   sample. On the nanosecond-scale corpora (figure1) independently
-   sampled medians flap across runs and trip the bench gate's noise
-   floor; the paired minima cancel machine speed out. *)
-let bench_pair fa fb =
-  ignore (fa ());
-  ignore (fb ());
+(* Per-call time: the iteration count grows until one sample takes
+   >= 10 ms, then the best (minimum) of 7 samples is kept — the minimum
+   converges on the undisturbed cost on a loaded host. *)
+let bench f =
+  ignore (f ());
   let iters = ref 1 in
-  let sample f = time_ns (fun () -> for _ = 1 to !iters do ignore (f ()) done) in
-  while sample fa < 1e7 && !iters < 10_000_000 do
+  let sample () = time_ns (fun () -> for _ = 1 to !iters do ignore (f ()) done) in
+  while sample () < 1e7 && !iters < 10_000_000 do
     iters := !iters * 4
   done;
-  let best_a = ref infinity and best_b = ref infinity in
+  let best = ref infinity in
   for _ = 1 to 7 do
-    best_a := Float.min !best_a (sample fa);
-    best_b := Float.min !best_b (sample fb)
+    best := Float.min !best (sample ())
   done;
-  let n = float_of_int !iters in
-  (!best_a /. n, !best_b /. n)
+  !best /. float_of_int !iters
 
 let corpora ~smoke =
   let dblp_pubs = if smoke then 300 else 2000 in
@@ -78,29 +73,11 @@ let workloads (index : Index.t) =
     ]
   | _ -> []
 
-type pair = {
-  alg : string;
-  packed : Refine_common.t -> Result.t;
-  legacy : Refine_common.t -> Result.t;
-}
-
-let pairs ~k =
+let algorithms ~k =
   [
-    {
-      alg = "stack-refine";
-      packed = (fun c -> fst (Stack_refine.run c));
-      legacy = (fun c -> fst (Stack_refine.run_legacy c));
-    };
-    {
-      alg = "partition";
-      packed = (fun c -> fst (Partition.run ~k c));
-      legacy = (fun c -> fst (Partition.run_legacy ~k c));
-    };
-    {
-      alg = "sle";
-      packed = (fun c -> fst (Sle.run ~k c));
-      legacy = (fun c -> fst (Sle.run_legacy ~k c));
-    };
+    ("stack-refine", fun c -> fst (Stack_refine.run c));
+    ("partition", fun c -> fst (Partition.run ~k c));
+    ("sle", fun c -> fst (Sle.run ~k c));
   ]
 
 let () =
@@ -122,87 +99,44 @@ let () =
          XR_INDEX matrix. *)
       let index = Index.build ~mode:Index.Flat doc in
       Printf.printf "\n== %s: %d nodes ==\n%!" name (Doc.node_count doc);
-      let totals = Hashtbl.create 8 in
-      let add key ns =
-        Hashtbl.replace totals key (ns +. (try Hashtbl.find totals key with Not_found -> 0.))
-      in
-      let workload_json = ref [] in
-      List.iter
-        (fun (wname, query, rules) ->
-          let setup () = Refine_common.make index (Ruleset.of_rules rules) query in
-          let c = setup () in
-          let alg_json = ref [] in
-          List.iter
-            (fun p ->
-              (* the packed scan must run without touching the boxed
-                 views; assert it before the legacy run warms them *)
-              let before = Inverted.materialization_count index.Index.inverted in
-              let packed_result = p.packed c in
-              let after = Inverted.materialization_count index.Index.inverted in
-              if after <> before then
-                failwith
-                  (Printf.sprintf "%s/%s/%s: packed run materialized %d boxed lists" name
-                     wname p.alg (after - before));
-              let legacy_result = p.legacy c in
-              if packed_result <> legacy_result then
-                failwith
-                  (Printf.sprintf "%s/%s/%s: packed and legacy outcomes differ" name wname
-                     p.alg);
-              let legacy_ns, packed_ns =
-                bench_pair (fun () -> p.legacy c) (fun () -> p.packed c)
-              in
-              add (p.alg ^ ":packed") packed_ns;
-              add (p.alg ^ ":legacy") legacy_ns;
-              Printf.printf "  %-12s %-12s legacy %9.0fns -> packed %9.0fns (%.2fx)\n%!"
-                wname p.alg legacy_ns packed_ns (legacy_ns /. packed_ns);
-              alg_json :=
-                Json.Obj
-                  [
-                    ("algorithm", Json.String p.alg);
-                    ("packed_ns", Json.Float packed_ns);
-                    ("legacy_ns", Json.Float legacy_ns);
-                    ("speedup", Json.Float (legacy_ns /. packed_ns));
-                  ]
-                :: !alg_json)
-            (pairs ~k);
-          workload_json :=
+      let total = ref 0. in
+      let workload_json =
+        List.map
+          (fun (wname, query, rules) ->
+            let c = Refine_common.make index (Ruleset.of_rules rules) query in
+            let alg_json =
+              List.map
+                (fun (alg, run) ->
+                  let ns = bench (fun () -> run c) in
+                  total := !total +. ns;
+                  Printf.printf "  %-12s %-12s %10.0fns\n%!" wname alg ns;
+                  Json.Obj
+                    [ ("algorithm", Json.String alg); ("packed_ns", Json.Float ns) ])
+                (algorithms ~k)
+            in
             Json.Obj
               [
                 ("name", Json.String wname);
                 ("query", Json.List (List.map (fun w -> Json.String w) query));
-                ("algorithms", Json.List (List.rev !alg_json));
-              ]
-            :: !workload_json)
-        (workloads index);
-      let total key = try Hashtbl.find totals key with Not_found -> 0. in
-      let speedup alg = total (alg ^ ":legacy") /. total (alg ^ ":packed") in
-      let overall side =
-        List.fold_left
-          (fun a alg -> a +. total (alg ^ ":" ^ side))
-          0.
-          [ "stack-refine"; "partition"; "sle" ]
+                ("algorithms", Json.List alg_json);
+              ])
+          (workloads index)
       in
-      let speedup_total = overall "legacy" /. overall "packed" in
-      Printf.printf
-        "  aggregate: stack-refine %.2fx, partition %.2fx, sle %.2fx, overall %.2fx\n%!"
-        (speedup "stack-refine") (speedup "partition") (speedup "sle") speedup_total;
+      Printf.printf "  total %.0fns\n%!" !total;
       corpus_json :=
         Json.Obj
           [
             ("name", Json.String name);
             ("nodes", Json.Int (Doc.node_count doc));
-            ("workloads", Json.List (List.rev !workload_json));
-            ("speedup_stack_refine_total", Json.Float (speedup "stack-refine"));
-            ("speedup_partition_total", Json.Float (speedup "partition"));
-            ("speedup_sle_total", Json.Float (speedup "sle"));
-            ("speedup_total", Json.Float speedup_total);
+            ("workloads", Json.List workload_json);
+            ("packed_ns_total", Json.Float !total);
           ]
         :: !corpus_json)
     (corpora ~smoke);
   let payload =
     Json.Obj
       [
-        ("bench", Json.String "refine-packed-vs-legacy");
+        ("bench", Json.String "refine-packed");
         ("mode", Json.String (if smoke then "smoke" else "full"));
         ("host_cores", Json.Int (Domain.recommended_domain_count ()));
         ("corpora", Json.List (List.rev !corpus_json));

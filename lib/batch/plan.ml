@@ -230,7 +230,8 @@ let explain_search ?(config = Engine.default_config) ?pool_size (index : Index.t
       ("dead", reason, None)
     | Boxed ->
       ( "boxed",
-        Printf.sprintf "algorithm %s is not packed: legacy boxed kernel" (Slca_engine.name alg),
+        Printf.sprintf "algorithm %s is not packed: list-based kernel over decoded lists"
+          (Slca_engine.name alg),
         None )
     | Tiny ((_, dlo, dhi), _) ->
       ( "tiny",

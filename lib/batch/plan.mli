@@ -30,7 +30,10 @@ type search_exec =
   | Ranges of (Dewey.Packed.t * int * int) list
       (** packed kernel over precompiled ranges — selectivity-sorted
           for the scan family, resolution order otherwise *)
-  | Boxed  (** legacy boxed kernel via {!Xr_slca.Engine.query_ids} *)
+  | Boxed
+      (** list-based kernel (a paper baseline) via
+          {!Xr_slca.Engine.query_ids}, which decodes the packed lists on
+          every run *)
 
 type search = {
   s_slca : Xr_slca.Engine.algorithm;  (** pinned at compile time *)

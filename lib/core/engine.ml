@@ -7,25 +7,16 @@ type algorithm =
   | Stack_refine
   | Partition
   | Short_list_eager
-  | Stack_refine_legacy
-  | Partition_legacy
-  | Sle_legacy
 
 let algorithm_name = function
   | Stack_refine -> "stack-refine"
   | Partition -> "partition"
   | Short_list_eager -> "sle"
-  | Stack_refine_legacy -> "stack-refine-legacy"
-  | Partition_legacy -> "partition-legacy"
-  | Sle_legacy -> "sle-legacy"
 
 let algorithm_of_name = function
   | "stack-refine" | "stack" -> Some Stack_refine
   | "partition" -> Some Partition
   | "sle" | "short-list-eager" -> Some Short_list_eager
-  | "stack-refine-legacy" | "stack-legacy" -> Some Stack_refine_legacy
-  | "partition-legacy" -> Some Partition_legacy
-  | "sle-legacy" | "short-list-eager-legacy" -> Some Sle_legacy
   | _ -> None
 
 type config = {
@@ -133,15 +124,6 @@ let refine ?(config = default_config) ?(rules = []) index query =
     | Short_list_eager ->
       let r, s = Sle.run ~ranking ~slca:config.slca ~k:config.k c in
       (r, Sle_stats s)
-    | Stack_refine_legacy ->
-      let r, s = Stack_refine.run_legacy ~ranking c in
-      (r, Stack_stats s)
-    | Partition_legacy ->
-      let r, s = Partition.run_legacy ~ranking ~slca:config.slca ~k:config.k c in
-      (r, Partition_stats s)
-    | Sle_legacy ->
-      let r, s = Sle.run_legacy ~ranking ~slca:config.slca ~k:config.k c in
-      (r, Sle_stats s)
   in
   let result =
     match result with
@@ -184,8 +166,8 @@ let search ?(config = default_config) (index : Index.t) query =
   match prep with
   | None -> []
   | Some (ids, meaningful) ->
-    (* [query_ids] keeps packed engines on the index's packed lists —
-       no posting materialization on the hot search path. *)
+    (* [query_ids] keeps packed engines on the index's packed lists;
+       list-based ones decode them on every call. *)
     let slcas = Slca_engine.query_ids config.slca index ids in
     let filtered =
       Xr_obs.Tracing.with_span "slca.filter" (fun () -> Meaningful.filter meaningful slcas)

@@ -12,9 +12,6 @@ type algorithm =
   | Stack_refine  (** Algorithm 1 (Top-1), packed scan *)
   | Partition  (** Algorithm 2 (Top-K), packed scan *)
   | Short_list_eager  (** Algorithm 3 (Top-K), packed scan *)
-  | Stack_refine_legacy  (** Algorithm 1 over boxed posting arrays *)
-  | Partition_legacy  (** Algorithm 2 over boxed posting arrays *)
-  | Sle_legacy  (** Algorithm 3 over boxed posting arrays *)
 
 val algorithm_name : algorithm -> string
 
@@ -26,10 +23,10 @@ type config = {
   slca : Xr_slca.Engine.algorithm;
       (** plugged SLCA engine; default scan-parallel (scan-packed
           chunked over the domain pool, sequential below the
-          {!Xr_slca.Parallel.threshold}). Packed refinement
-          algorithms promote a list-based choice to its packed partner
-          ({!Xr_slca.Engine.packed_partner}) — result-identical; the
-          [*_legacy] algorithms use it as given. *)
+          {!Xr_slca.Parallel.threshold}). {!search} runs it as given (a
+          list-based engine decodes the packed lists on every call); the
+          refinement algorithms promote a list-based choice to its packed
+          partner ({!Xr_slca.Engine.packed_partner}), result-identical. *)
   ranking : Ranking.config;
   dp : Optimal_rq.config;
   search_for : Xr_slca.Search_for.config;

@@ -1,5 +1,4 @@
 open Xr_xml
-module Inverted = Xr_index.Inverted
 module Slca_engine = Xr_slca.Engine
 module P = Dewey.Packed
 module PC = Xr_index.Cursor.Packed
@@ -25,54 +24,6 @@ let q_available (c : Refine_common.t) ranges =
   in
   go 0
 
-(* The DP depends only on which KS keywords are present in the partition;
-   partitions sharing that signature share their candidate list, so one
-   DP run serves them all. The signature is a presence bitmask — KS is
-   far smaller than a word in any realistic query. *)
-let signature ranges =
-  let rec go j acc =
-    if j >= Array.length ranges then acc
-    else
-      let lo, hi = ranges.(j) in
-      go (j + 1) (if hi > lo then acc lor (1 lsl j) else acc)
-  in
-  go 0 0
-
-(* A memoized candidate list: each candidate carries its precomputed
-   keyword-set key, and [pure_rev] remembers an [Rq_list] revision at
-   which walking the list had no effect (every candidate already present
-   or rejected) — at that same revision the walk needs no replay. *)
-type cand_set = {
-  cands : (Refined_query.t * string) list;
-  mutable pure_rev : int;
-}
-
-let make_candidates_for (c : Refine_common.t) ~k ~dp_runs =
-  let dp_cache : (int, cand_set) Hashtbl.t = Hashtbl.create 16 in
-  let cacheable = Array.length c.ks <= 62 (* bitmask must not overflow *) in
-  let compute ranges =
-    incr dp_runs;
-    let cs =
-      (* over-fetch: the beam already holds the states, and candidates
-         beyond the 2K cheapest matter when the cheap ones lack
-         meaningful SLCAs in this partition *)
-      Optimal_rq.top_k ~config:c.dp_config ~rules:c.rules
-        ~available:(Refine_common.available_in c ranges)
-        ~k:(max (2 * k) c.dp_config.Optimal_rq.beam) c.query
-    in
-    { cands = List.map (fun rq -> (rq, Refined_query.key rq)) cs; pure_rev = -1 }
-  in
-  fun ranges ->
-    if not cacheable then compute ranges
-    else
-      let key = signature ranges in
-      match Hashtbl.find_opt dp_cache key with
-      | Some cs -> cs
-      | None ->
-        let cs = compute ranges in
-        Hashtbl.add dp_cache key cs;
-        cs
-
 (* Walk a partition's cost-sorted candidate list, admitting refined
    queries that witness a meaningful SLCA here (the Definition 3.4 gate).
    [Optimal_rq.top_k] sorts by dissimilarity and [Rq_list] admission is
@@ -80,7 +31,7 @@ let make_candidates_for (c : Refine_common.t) ~k ~dp_runs =
    rejects — the common case once the list saturates is a single
    admission probe per partition. *)
 let process_candidates ~try_original ~q_found ~rqlist ~slca_runs ~skipped ~slca_of
-    (cset : cand_set) ranges =
+    (cset : Refine_common.cand_set) ranges =
   if cset.pure_rev = Rq_list.revision rqlist then
     (* the previous walk of this list at this revision touched nothing
        range-dependent, so its only effect was the skip count *)
@@ -121,8 +72,7 @@ let process_candidates ~try_original ~q_found ~rqlist ~slca_runs ~skipped ~slca_
    membership probed in varint-encoded form, slice ends come from a
    galloping seek to the next partition root (O(log partition) probes
    near the cursor instead of a whole-list binary search), and the
-   per-partition SLCAs run on packed ranges — the boxed posting views
-   are never forced. *)
+   per-partition SLCAs run on packed ranges. *)
 let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
     (c : Refine_common.t) =
   let slca = Slca_engine.packed_partner slca in
@@ -170,7 +120,7 @@ let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
       end
     end
   in
-  let candidates_for = make_candidates_for c ~k ~dp_runs in
+  let candidates_for = Refine_common.make_candidates_for c ~k ~dp_runs in
   let slca_of ranges keywords =
     Refine_common.meaningful_slcas_ranges c slca
       (Refine_common.packed_sublists c ranges keywords)
@@ -246,119 +196,6 @@ let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
                let slcas =
                  Refine_common.meaningful_slcas_ranges c slca
                    (Refine_common.packed_full_lists c s.rq.Refined_query.keywords)
-               in
-               { Result.rq = s.rq; score = Some s; slcas })
-             top)
-      end
-    end
-  in
-  ( outcome,
-    {
-      partitions_visited = !visited;
-      partitions_skipped = !skipped;
-      dp_runs = !dp_runs;
-      slca_runs = !slca_runs;
-    } )
-
-(* Boxed-list reference implementation, kept for the differential suite
-   and the [partition-legacy] engine selector. *)
-let run_legacy ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_eager) ~k
-    (c : Refine_common.t) =
-  let engine = Slca_engine.compute slca in
-  let m = Array.length c.ks in
-  let lists = Array.init m (fun i -> Refine_common.legacy_list c i) in
-  let from = Array.make m 0 in
-  let rqlist = Rq_list.create ~capacity:(2 * k) in
-  let q_found = ref false in
-  let q_results = ref [] in
-  let visited = ref 0 and skipped = ref 0 and dp_runs = ref 0 and slca_runs = ref 0 in
-  let q_keywords = Array.to_list (Array.sub c.ks 0 c.q_size) in
-  let smallest_head () =
-    let best = ref None in
-    for i = 0 to m - 1 do
-      if from.(i) < Array.length lists.(i) then begin
-        let d = lists.(i).(from.(i)).Inverted.dewey in
-        match !best with
-        | None -> best := Some (i, d)
-        | Some (_, d') -> if Dewey.compare d d' < 0 then best := Some (i, d)
-      end
-    done;
-    !best
-  in
-  let try_original ranges =
-    if q_available c ranges then begin
-      incr slca_runs;
-      let slcas =
-        Refine_common.meaningful_slcas c engine (Refine_common.sublists c ranges q_keywords)
-      in
-      if slcas <> [] then begin
-        q_found := true;
-        q_results := !q_results @ slcas
-      end
-    end
-  in
-  let candidates_for = make_candidates_for c ~k ~dp_runs in
-  let slca_of ranges keywords =
-    Refine_common.meaningful_slcas c engine (Refine_common.sublists c ranges keywords)
-  in
-  let finish_original () =
-    let suffixes =
-      List.init c.q_size (fun i ->
-          let list = lists.(i) in
-          Array.sub list from.(i) (Array.length list - from.(i)))
-    in
-    incr slca_runs;
-    q_results := !q_results @ Refine_common.meaningful_slcas c engine suffixes
-  in
-  let rec scan () =
-    match smallest_head () with
-    | None -> ()
-    | Some _ when !q_found -> finish_original ()
-    | Some (i, d) ->
-      if Dewey.depth d = 0 then begin
-        from.(i) <- from.(i) + 1;
-        scan ()
-      end
-      else begin
-        let proot = [| d.(0) |] in
-        let ranges =
-          Array.mapi
-            (fun j list ->
-              let start = from.(j) in
-              if
-                start < Array.length list
-                && Dewey.is_prefix proot list.(start).Inverted.dewey
-              then Inverted.prefix_slice_from list start proot
-              else (start, start))
-            lists
-        in
-        Array.iteri (fun j (_, hi) -> if hi > from.(j) then from.(j) <- hi) ranges;
-        incr visited;
-        if q_available c ranges then
-          try_original ranges;
-        if not !q_found then
-          process_candidates ~try_original ~q_found ~rqlist ~slca_runs ~skipped ~slca_of
-            (candidates_for ranges) ranges;
-        scan ()
-      end
-  in
-  scan ();
-  let outcome =
-    if !q_found then Result.Original !q_results
-    else begin
-      let pool = Rq_list.to_list rqlist in
-      if pool = [] then Result.No_result
-      else begin
-        let scored =
-          Ranking.rank ~config:ranking c.index.Xr_index.Index.stats ~original:c.query pool
-        in
-        let top = List.filteri (fun i _ -> i < k) scored in
-        Result.Refined
-          (List.map
-             (fun (s : Ranking.scored) ->
-               let slcas =
-                 Refine_common.meaningful_slcas c engine
-                   (Refine_common.full_lists c s.rq.Refined_query.keywords)
                in
                { Result.rq = s.rq; score = Some s; slcas })
              top)

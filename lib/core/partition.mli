@@ -38,16 +38,6 @@ val run :
   Refine_common.t ->
   Result.t * stats
 
-(** [run_legacy ?ranking ?slca ~k setup] is the boxed-posting-array
-    reference implementation; same outcome and statistics as {!run} (the
-    differential suite asserts it). [slca] defaults to scan-eager. *)
-val run_legacy :
-  ?ranking:Ranking.config ->
-  ?slca:Xr_slca.Engine.algorithm ->
-  k:int ->
-  Refine_common.t ->
-  Result.t * stats
-
 (** [partition_roots doc] lists the Dewey labels of the document
     partitions, document order (exposed for tests). *)
 val partition_roots : Doc.t -> Dewey.t list

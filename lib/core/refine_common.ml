@@ -10,7 +10,6 @@ type t = {
   rules : Ruleset.t;
   ks : string array;
   packed : Dewey.Packed.t array;
-  lists : Inverted.posting array Lazy.t array;
   q_size : int;
   meaningful : Meaningful.t;
   dp_config : Optimal_rq.config;
@@ -37,20 +36,12 @@ let make ?(dp_config = Optimal_rq.default_config) ?search_for (index : Index.t) 
   let ks = Array.of_list (q_distinct @ new_kws) in
   let ids = Array.map (fun k -> Doc.keyword_id doc k) ks in
   (* The packed lists are shared with the index — building [t] copies
-     nothing; the boxed views exist only behind the lazy cells below and
-     stay unforced on the packed algorithm paths. *)
+     nothing. *)
   let packed =
     Array.map
       (function
         | Some kw -> (Inverted.packed_list index.Index.inverted kw).Inverted.labels
         | None -> Dewey.Packed.empty)
-      ids
-  in
-  let lists =
-    Array.map
-      (function
-        | Some kw -> lazy (Inverted.list index.Index.inverted kw)
-        | None -> lazy [||])
       ids
   in
   let q_ids = List.filter_map (fun k -> Doc.keyword_id doc k) q_distinct in
@@ -62,9 +53,16 @@ let make ?(dp_config = Optimal_rq.default_config) ?search_for (index : Index.t) 
     if q_ids <> [] then q_ids else List.filter_map (fun k -> Doc.keyword_id doc k) new_kws
   in
   let meaningful = Meaningful.make ?config:search_for index.Index.stats q_ids in
-  { index; query; rules; ks; packed; lists; q_size = List.length q_distinct; meaningful; dp_config }
-
-let legacy_list t i = Lazy.force t.lists.(i)
+  {
+    index;
+    query;
+    rules;
+    ks;
+    packed;
+    q_size = List.length q_distinct;
+    meaningful;
+    dp_config;
+  }
 
 let list_length t i = Dewey.Packed.length t.packed.(i)
 
@@ -75,12 +73,6 @@ let keyword_length t k =
     else find (i + 1)
   in
   find 0
-
-let slices t dewey ~from =
-  Array.mapi (fun i _ -> Inverted.prefix_slice_from (legacy_list t i) from.(i) dewey) t.lists
-
-let packed_slices t dewey ~from =
-  Array.mapi (fun i pk -> Dewey.Packed.prefix_slice pk ~lo:from.(i) dewey) t.packed
 
 let available_in t ranges k =
   let rec find i =
@@ -100,16 +92,6 @@ let index_of t k =
   in
   find 0
 
-let sublists t ranges keywords =
-  List.map
-    (fun k ->
-      match index_of t k with
-      | Some i ->
-        let lo, hi = ranges.(i) in
-        Array.sub (legacy_list t i) lo (hi - lo)
-      | None -> [||])
-    keywords
-
 let packed_sublists t ranges keywords =
   List.map
     (fun k ->
@@ -120,11 +102,6 @@ let packed_sublists t ranges keywords =
       | None -> (Dewey.Packed.empty, 0, 0))
     keywords
 
-let full_lists t keywords =
-  List.map
-    (fun k -> match index_of t k with Some i -> legacy_list t i | None -> [||])
-    keywords
-
 let packed_full_lists t keywords =
   List.map
     (fun k ->
@@ -133,7 +110,50 @@ let packed_full_lists t keywords =
       | None -> (Dewey.Packed.empty, 0, 0))
     keywords
 
-let meaningful_slcas t engine lists = Meaningful.filter t.meaningful (engine lists)
-
 let meaningful_slcas_ranges t alg ranges =
   Meaningful.filter t.meaningful (Slca_engine.compute_ranges alg ranges)
+
+(* The DP depends only on which KS keywords are present in a partition;
+   partitions sharing that signature share their candidate list, so one
+   DP run serves them all. The signature is a presence bitmask — KS is
+   far smaller than a word in any realistic query. *)
+let signature ranges =
+  let rec go j acc =
+    if j >= Array.length ranges then acc
+    else
+      let lo, hi = ranges.(j) in
+      go (j + 1) (if hi > lo then acc lor (1 lsl j) else acc)
+  in
+  go 0 0
+
+type cand_set = {
+  cands : (Refined_query.t * string) list;
+  mutable pure_rev : int;
+}
+
+let make_candidates_for t ~k ~dp_runs =
+  let dp_cache : (int, cand_set) Hashtbl.t = Hashtbl.create 16 in
+  let cacheable = Array.length t.ks <= 62 (* bitmask must not overflow *) in
+  let compute ranges =
+    incr dp_runs;
+    let cs =
+      (* over-fetch: the beam already holds the states, and candidates
+         beyond the 2K cheapest matter when the cheap ones lack
+         meaningful SLCAs in this partition *)
+      Optimal_rq.top_k ~config:t.dp_config ~rules:t.rules
+        ~available:(available_in t ranges)
+        ~k:(max (2 * k) t.dp_config.Optimal_rq.beam)
+        t.query
+    in
+    { cands = List.map (fun rq -> (rq, Refined_query.key rq)) cs; pure_rev = -1 }
+  in
+  fun ranges ->
+    if not cacheable then compute ranges
+    else
+      let key = signature ranges in
+      match Hashtbl.find_opt dp_cache key with
+      | Some cs -> cs
+      | None ->
+        let cs = compute ranges in
+        Hashtbl.add dp_cache key cs;
+        cs

@@ -1,14 +1,8 @@
 (** Shared setup for the three refinement algorithms: normalizes the
     query, restricts the rule set to it, resolves [KS = Q + new keywords]
     to their packed inverted lists, and infers the search-for context
-    once.
-
-    The packed lists are shared with the index (building a [t] copies
-    nothing). The boxed posting arrays exist only behind per-keyword lazy
-    cells: the packed algorithm paths never force them, which is what
-    keeps {!Xr_index.Inverted.materialization_count} at zero on the
-    default refine path; the [*_legacy] algorithm variants force them on
-    first access. *)
+    once. The packed lists are shared with the index (building a [t]
+    copies nothing). *)
 
 open Xr_xml
 
@@ -18,9 +12,6 @@ type t = {
   rules : Ruleset.t;  (** rules relevant to the query, RHS in document *)
   ks : string array;  (** KS: query keywords first, then new keywords *)
   packed : Dewey.Packed.t array;  (** per KS position, shared with index *)
-  lists : Xr_index.Inverted.posting array Lazy.t array;
-      (** per KS position, boxed compatibility view — prefer
-          {!legacy_list} over forcing these directly *)
   q_size : int;  (** first [q_size] entries of [ks] are the query *)
   meaningful : Xr_slca.Meaningful.t;
   dp_config : Optimal_rq.config;
@@ -34,64 +25,44 @@ val make :
   string list ->
   t
 
-(** [legacy_list t i] is the boxed posting list of KS position [i],
-    materialized on first use (bumps the index's materialization
-    counter). *)
-val legacy_list : t -> int -> Xr_index.Inverted.posting array
-
-(** [list_length t i] is the posting count of KS position [i], read off
-    the packed list without materializing anything. *)
+(** [list_length t i] is the posting count of KS position [i]. *)
 val list_length : t -> int -> int
 
 (** [keyword_length t k] is {!list_length} by keyword name (0 when [k] is
     not a KS member). *)
 val keyword_length : t -> string -> int
 
-(** [slices t dewey ~from] computes, for every KS keyword, the index range
-    of its postings inside the subtree rooted at [dewey], starting the
-    binary search at the per-list positions [from] (pass all zeros for the
-    whole list). Forces the boxed views; packed callers use
-    {!packed_slices}. *)
-val slices : t -> Dewey.t -> from:int array -> (int * int) array
-
-(** [packed_slices t dewey ~from] is {!slices} computed directly on the
-    packed lists — same ranges (the packed and boxed views index the same
-    entries), nothing materialized. *)
-val packed_slices : t -> Dewey.t -> from:int array -> (int * int) array
-
-(** [available_in t ranges] is the membership test for the keyword set [T]
-    = KS entries whose range in [ranges] is non-empty. *)
-val available_in : t -> (int * int) array -> string -> bool
-
-(** [sublists t ranges keywords] extracts the posting sub-arrays of
-    [keywords] (which must be KS members) for a list-based SLCA engine
-    call. *)
-val sublists :
-  t -> (int * int) array -> string list -> Xr_index.Inverted.posting array list
-
-(** [packed_sublists t ranges keywords] is {!sublists} as zero-copy
-    packed ranges, for {!Xr_slca.Engine.compute_ranges}. *)
+(** [packed_sublists t ranges keywords] is the packed ranges of
+    [keywords] (which must be KS members) restricted to the per-KS-position
+    entry ranges [ranges], zero-copy, for {!Xr_slca.Engine.compute_ranges}. *)
 val packed_sublists :
   t -> (int * int) array -> string list -> (Dewey.Packed.t * int * int) list
 
-(** [full_lists t keywords] is the whole-document posting lists of
-    [keywords]. *)
-val full_lists : t -> string list -> Xr_index.Inverted.posting array list
-
-(** [packed_full_lists t keywords] is {!full_lists} as zero-copy packed
-    ranges. *)
+(** [packed_full_lists t keywords] is the whole-document packed lists of
+    [keywords], as zero-copy ranges. *)
 val packed_full_lists : t -> string list -> (Dewey.Packed.t * int * int) list
-
-(** [meaningful_slcas t engine lists] runs an SLCA engine and keeps the
-    meaningful results. *)
-val meaningful_slcas :
-  t ->
-  (Xr_index.Inverted.posting array list -> Dewey.t list) ->
-  Xr_index.Inverted.posting array list ->
-  Dewey.t list
 
 (** [meaningful_slcas_ranges t alg ranges] runs an SLCA engine over
     packed ranges (see {!Xr_slca.Engine.compute_ranges}) and keeps the
     meaningful results. *)
 val meaningful_slcas_ranges :
   t -> Xr_slca.Engine.algorithm -> (Dewey.Packed.t * int * int) list -> Dewey.t list
+
+(** A memoized DP candidate list: each candidate carries its precomputed
+    keyword-set key ({!Refined_query.key}), and [pure_rev] remembers an
+    [Rq_list] revision at which walking the list had no effect (every
+    candidate already present or rejected) — at that same revision the
+    walk needs no replay. *)
+type cand_set = {
+  cands : (Refined_query.t * string) list;
+  mutable pure_rev : int;
+}
+
+(** [make_candidates_for t ~k ~dp_runs] is the per-partition candidate
+    source of Algorithms 2 and 3: given a partition's per-KS-position
+    entry ranges, the [max (2 * k) beam] cheapest refined queries over
+    the keywords present there, cost-sorted. Partitions with the same
+    keyword-presence signature share one DP run; [dp_runs] counts the
+    runs. *)
+val make_candidates_for :
+  t -> k:int -> dp_runs:int ref -> (int * int) array -> cand_set

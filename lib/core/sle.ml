@@ -1,5 +1,4 @@
 open Xr_xml
-module Inverted = Xr_index.Inverted
 module Slca_engine = Xr_slca.Engine
 module P = Dewey.Packed
 module PC = Xr_index.Cursor.Packed
@@ -46,54 +45,17 @@ let make_c_potential (c : Refine_common.t) ~processed ~dp_runs () =
   | Some _ -> Some 0
   | None -> None
 
-(* Partitions sharing a keyword-availability signature share their DP
-   candidate list; candidates carry precomputed keyword-set keys and
-   [pure_rev] remembers an [Rq_list] revision at which walking the list
-   had no effect (see {!Partition.process_candidates} for the same
-   device). *)
-type cand_set = {
-  cands : (Refined_query.t * string) list;
-  mutable pure_rev : int;
-}
-
-let make_candidates_for (c : Refine_common.t) ~k ~dp_runs =
-  let dp_cache : (int, cand_set) Hashtbl.t = Hashtbl.create 16 in
-  let cacheable = Array.length c.ks <= 62 (* bitmask must not overflow *) in
-  let compute ranges =
-    incr dp_runs;
-    let cs =
-      Optimal_rq.top_k ~config:c.dp_config ~rules:c.rules
-        ~available:(Refine_common.available_in c ranges)
-        ~k:(max (2 * k) c.dp_config.Optimal_rq.beam) c.query
-    in
-    { cands = List.map (fun rq -> (rq, Refined_query.key rq)) cs; pure_rev = -1 }
+(* Slices, sub-list SLCAs and partition enumeration all run off the
+   packed lists. Because a keyword pass probes partitions in ascending id
+   order, the slices come from per-list cursors galloping forward (reset
+   once per pass) instead of whole-list binary searches. *)
+let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
+    (c : Refine_common.t) =
+  let slca = Slca_engine.packed_partner slca in
+  let slca_full keywords =
+    Refine_common.meaningful_slcas_ranges c slca
+      (Refine_common.packed_full_lists c keywords)
   in
-  fun ranges ->
-    if not cacheable then compute ranges
-    else
-      let key =
-        let rec go j acc =
-          if j >= Array.length ranges then acc
-          else
-            let lo, hi = ranges.(j) in
-            go (j + 1) (if hi > lo then acc lor (1 lsl j) else acc)
-        in
-        go 0 0
-      in
-      match Hashtbl.find_opt dp_cache key with
-      | Some cs -> cs
-      | None ->
-        let cs = compute ranges in
-        Hashtbl.add dp_cache key cs;
-        cs
-
-(* Shared driver: [slices pid] (the per-partition posting ranges),
-   [slca_sub ranges keywords], [slca_full keywords] and [iter_partitions]
-   are the only operations touching posting data, so the packed and
-   legacy entry points below differ purely in how those are wired. Both
-   wirings return identical index ranges, keeping outcomes identical. *)
-let run_with (c : Refine_common.t) ~ranking ~k ~slices ~slca_sub ~slca_full
-    ~iter_partitions =
   let q_keywords = Array.to_list (Array.sub c.ks 0 c.q_size) in
   (* Adaptivity check (Definition 3.4): if the original query itself has a
      meaningful SLCA, no refinement happens. *)
@@ -105,6 +67,19 @@ let run_with (c : Refine_common.t) ~ranking ~k ~slices ~slca_sub ~slca_full
     ( Result.Original q_slcas,
       { keywords_processed = 0; partitions_probed = 0; dp_runs = 0; stopped_early = false } )
   else begin
+    let m = Array.length c.packed in
+    let cursors = Array.map PC.make c.packed in
+    let probe = [| 0 |] in
+    let slices pid =
+      Array.init m (fun j ->
+          let cur = cursors.(j) in
+          probe.(0) <- pid;
+          PC.seek_geq_sub cur probe 1;
+          let lo = PC.position cur in
+          probe.(0) <- pid + 1;
+          PC.seek_geq_sub cur probe 1;
+          (lo, PC.position cur))
+    in
     let rqlist = Rq_list.create ~capacity:(2 * k) in
     let order = keyword_order c in
     let processed = Array.make (Array.length c.ks) false in
@@ -112,7 +87,7 @@ let run_with (c : Refine_common.t) ~ranking ~k ~slices ~slca_sub ~slca_full
     let probed = ref 0 and dp_runs = ref 0 and consumed = ref 0 in
     let stopped = ref false in
     let c_potential = make_c_potential c ~processed ~dp_runs in
-    let candidates_for = make_candidates_for c ~k ~dp_runs in
+    let candidates_for = Refine_common.make_candidates_for c ~k ~dp_runs in
     let process_partition pid =
       if not (Hashtbl.mem visited_partitions pid) then begin
         Hashtbl.add visited_partitions pid ();
@@ -136,8 +111,11 @@ let run_with (c : Refine_common.t) ~ranking ~k ~slices ~slca_sub ~slca_full
                   impure := true;
                   (* Definition 3.4: admit only with a meaningful SLCA in
                      this partition. *)
-                  if slca_sub ranges rq.Refined_query.keywords <> [] then
-                    ignore (Rq_list.insert rqlist rq)
+                  if
+                    Refine_common.meaningful_slcas_ranges c slca
+                      (Refine_common.packed_sublists c ranges rq.Refined_query.keywords)
+                    <> []
+                  then ignore (Rq_list.insert rqlist rq)
                 end;
                 go rest
               end
@@ -146,6 +124,15 @@ let run_with (c : Refine_common.t) ~ranking ~k ~slices ~slca_sub ~slca_full
           if not !impure then cset.pure_rev <- Rq_list.revision rqlist
         end
       end
+    in
+    (* one pass over keyword [i]'s list: every partition it touches *)
+    let iter_partitions i =
+      (* new pass: partition ids restart from the low end *)
+      Array.iteri (fun j pk -> cursors.(j) <- PC.make pk) c.packed;
+      let pk = c.packed.(i) in
+      for e = 0 to P.length pk - 1 do
+        if P.depth_at pk e > 0 then process_partition (P.first_component pk e)
+      done
     in
     let rec loop = function
       | [] -> ()
@@ -161,7 +148,7 @@ let run_with (c : Refine_common.t) ~ranking ~k ~slices ~slca_sub ~slca_full
         if stop then stopped := true
         else begin
           incr consumed;
-          iter_partitions i process_partition;
+          iter_partitions i;
           processed.(i) <- true;
           loop rest
         end
@@ -192,55 +179,3 @@ let run_with (c : Refine_common.t) ~ranking ~k ~slices ~slca_sub ~slca_full
         stopped_early = !stopped;
       } )
   end
-
-(* Packed entry point: slices, sub-list SLCAs and partition enumeration
-   all run off the packed lists; nothing boxed is ever forced. Because a
-   keyword pass probes partitions in ascending id order, the slices come
-   from per-list cursors galloping forward (reset once per pass) instead
-   of whole-list binary searches. *)
-let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
-    (c : Refine_common.t) =
-  let slca = Slca_engine.packed_partner slca in
-  let m = Array.length c.packed in
-  let cursors = Array.map PC.make c.packed in
-  let probe = [| 0 |] in
-  run_with c ~ranking ~k
-    ~slices:(fun pid ->
-      Array.init m (fun j ->
-          let cur = cursors.(j) in
-          probe.(0) <- pid;
-          PC.seek_geq_sub cur probe 1;
-          let lo = PC.position cur in
-          probe.(0) <- pid + 1;
-          PC.seek_geq_sub cur probe 1;
-          (lo, PC.position cur)))
-    ~slca_sub:(fun ranges keywords ->
-      Refine_common.meaningful_slcas_ranges c slca
-        (Refine_common.packed_sublists c ranges keywords))
-    ~slca_full:(fun keywords ->
-      Refine_common.meaningful_slcas_ranges c slca
-        (Refine_common.packed_full_lists c keywords))
-    ~iter_partitions:(fun i f ->
-      (* new pass: partition ids restart from the low end *)
-      Array.iteri (fun j pk -> cursors.(j) <- PC.make pk) c.packed;
-      let pk = c.packed.(i) in
-      for e = 0 to P.length pk - 1 do
-        if P.depth_at pk e > 0 then f (P.first_component pk e)
-      done)
-
-(* Boxed-list reference implementation, kept for the differential suite
-   and the [sle-legacy] engine selector. *)
-let run_legacy ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_eager) ~k
-    (c : Refine_common.t) =
-  let engine = Slca_engine.compute slca in
-  let zeros = Array.make (Array.length c.ks) 0 in
-  run_with c ~ranking ~k
-    ~slices:(fun pid -> Refine_common.slices c [| pid |] ~from:zeros)
-    ~slca_sub:(fun ranges keywords ->
-      Refine_common.meaningful_slcas c engine (Refine_common.sublists c ranges keywords))
-    ~slca_full:(fun keywords ->
-      Refine_common.meaningful_slcas c engine (Refine_common.full_lists c keywords))
-    ~iter_partitions:(fun i f ->
-      Array.iter
-        (fun (p : Inverted.posting) -> if Dewey.depth p.dewey > 0 then f p.dewey.(0))
-        (Refine_common.legacy_list c i))

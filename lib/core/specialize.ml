@@ -1,7 +1,6 @@
 open Xr_xml
 module Index = Xr_index.Index
 module Stats = Xr_index.Stats
-module Inverted = Xr_index.Inverted
 module Slca_engine = Xr_slca.Engine
 module Meaningful = Xr_slca.Meaningful
 
@@ -20,7 +19,7 @@ let default_config =
     k = 5;
     target = 0.2;
     sample = 200;
-    slca = Slca_engine.Scan_eager;
+    slca = Slca_engine.Scan_packed;
     search_for = Xr_slca.Search_for.default_config;
   }
 
@@ -41,8 +40,7 @@ let meaningful_results config (index : Index.t) keywords =
   if List.length ids < List.length keywords then ([], None)
   else begin
     let ctx = Meaningful.make ~config:config.search_for index.Index.stats ids in
-    let lists = List.map (fun kw -> Inverted.list index.Index.inverted kw) ids in
-    (Meaningful.filter ctx (Slca_engine.compute config.slca lists), Some ctx)
+    (Meaningful.filter ctx (Slca_engine.query_ids config.slca index ids), Some ctx)
   end
 
 let too_broad ?(config = default_config) index query =

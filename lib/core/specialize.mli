@@ -23,6 +23,9 @@ type config = {
   sample : int;
       (** cap on result subtrees inspected for candidates; default 200 *)
   slca : Xr_slca.Engine.algorithm;
+      (** SLCA engine of the result checks; default scan-packed, which
+          runs on the index's packed lists (a list-based engine decodes
+          them on every call) *)
   search_for : Xr_slca.Search_for.config;
 }
 

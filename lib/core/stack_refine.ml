@@ -12,10 +12,9 @@ type entry = {
   mutable q_slca_below : bool; (* an SLCA of the original query was reported below *)
 }
 
-(* The outcome bookkeeping shared by both scans: pop handling is
-   identical, only the merge feeding it differs. [node] is lazy so the
-   packed scan materializes a Dewey label only for pops that actually
-   inspect it (q-SLCA candidates and refinement winners). *)
+(* The outcome bookkeeping of the scan. [node] is lazy so the scan
+   materializes a Dewey label only for pops that actually inspect it
+   (q-SLCA candidates and refinement winners). *)
 type state = {
   c : Refine_common.t;
   m : int;
@@ -257,55 +256,4 @@ let run ?(ranking = Ranking.default_config) (c : Refine_common.t) =
   pop_to 0;
   (* The root sentinel: the root is never a meaningful SLCA (excluded from
      the search-for candidates), so only its bookkeeping remains. *)
-  finish ~ranking st
-
-(* Boxed-list reference implementation (the pre-packed scan), kept for the
-   differential suite and the [stack-refine-legacy] engine selector. *)
-let run_legacy ?(ranking = Ranking.default_config) (c : Refine_common.t) =
-  let st = make_state c in
-  let m = st.m in
-  let pos = Array.make m 0 in
-  let stack = ref [ { witness = Array.make m false; q_slca_below = false } ] in
-  let path = ref [||] in
-  let pop_to target_len =
-    while Array.length !path > target_len do
-      match !stack with
-      | e :: (parent :: _ as rest) ->
-        handle_pop st e (lazy !path) parent;
-        stack := rest;
-        path := Array.sub !path 0 (Array.length !path - 1)
-      | _ -> assert false
-    done
-  in
-  let smallest () =
-    let best = ref None in
-    for i = 0 to m - 1 do
-      let list = Refine_common.legacy_list c i in
-      if pos.(i) < Array.length list then begin
-        let d = list.(pos.(i)).Xr_index.Inverted.dewey in
-        match !best with
-        | None -> best := Some (i, d)
-        | Some (_, d') -> if Dewey.compare d d' < 0 then best := Some (i, d)
-      end
-    done;
-    !best
-  in
-  let rec loop () =
-    match smallest () with
-    | None -> ()
-    | Some (i, dewey) ->
-      pos.(i) <- pos.(i) + 1;
-      let lcp = Dewey.common_prefix_len dewey !path in
-      pop_to lcp;
-      for j = lcp to Array.length dewey - 1 do
-        stack := { witness = Array.make m false; q_slca_below = false } :: !stack;
-        path := Dewey.child !path dewey.(j)
-      done;
-      (match !stack with
-      | top :: _ -> top.witness.(i) <- true
-      | [] -> assert false);
-      loop ()
-  in
-  loop ();
-  pop_to 0;
   finish ~ranking st

@@ -24,11 +24,3 @@ val run :
   ?ranking:Ranking.config ->
   Refine_common.t ->
   Result.t * stats
-
-(** [run_legacy setup] is the boxed-posting-array reference
-    implementation; same outcome and statistics as {!run} (the
-    differential suite asserts it). *)
-val run_legacy :
-  ?ranking:Ranking.config ->
-  Refine_common.t ->
-  Result.t * stats

@@ -3,8 +3,8 @@ open Xr_xml
 type posting = { dewey : Dewey.t; path : Path.id }
 
 (* Struct-of-arrays posting list: all labels in one packed buffer, node
-   types alongside. This is the resident representation — boxed posting
-   records exist only as a lazily materialized compatibility view. *)
+   types alongside. This is the only resident representation — boxed
+   posting records are decoded from it on demand and never kept. *)
 type packed = { labels : Dewey.Packed.t; paths : int array }
 
 (* Two resident backings behind one accessor surface:
@@ -18,9 +18,10 @@ type packed = { labels : Dewey.Packed.t; paths : int array }
      paying the merge once per touched keyword instead of keeping every
      list resident.
 
-   The memo cells use the same atomic release/acquire publication as the
-   legacy boxed views below; a racing domain at worst merges twice. *)
-type backing =
+   The memo cells use atomic release/acquire publication, which makes
+   merging safe when the index is shared across query domains; a racing
+   domain at worst merges twice. *)
+type t =
   | Flat of packed array (* indexed by keyword id *)
   | Dag of dag_backing
 
@@ -28,19 +29,6 @@ and dag_backing = {
   dag : Xr_dag.t;
   merged : packed option Atomic.t array;
   merges : int Atomic.t; (* merges performed (memo hits excluded) *)
-}
-
-type t = {
-  backing : backing;
-  legacy : posting array option Atomic.t array;
-      (* Per-keyword memo of the boxed view, for the refinement engine's
-         slice-based access paths. Atomic release/acquire publication
-         makes materialization safe when the index is shared across query
-         domains; a racing domain at worst materializes twice. *)
-  materializations : int Atomic.t;
-      (* Count of legacy-view materializations performed (not memo hits).
-         The packed refinement pipeline keeps this at zero; /stats
-         surfaces it so regressions to the boxed path are observable. *)
 }
 
 let empty_packed = { labels = Dewey.Packed.empty; paths = [||] }
@@ -51,27 +39,21 @@ let pack_postings (postings : posting array) =
     paths = Array.map (fun p -> p.path) postings;
   }
 
-let make backing ~vocab =
-  {
-    backing;
-    legacy = Array.init vocab (fun _ -> Atomic.make None);
-    materializations = Atomic.make 0;
-  }
-
-let of_packed packed = make (Flat packed) ~vocab:(Array.length packed)
+let of_packed packed = Flat packed
 
 let of_lists lists = of_packed (Array.map pack_postings lists)
 
 let of_dag dag =
-  let vocab = Xr_dag.vocab dag in
-  make
-    (Dag { dag; merged = Array.init vocab (fun _ -> Atomic.make None); merges = Atomic.make 0 })
-    ~vocab
+  Dag
+    {
+      dag;
+      merged = Array.init (Xr_dag.vocab dag) (fun _ -> Atomic.make None);
+      merges = Atomic.make 0;
+    }
 
-let dag t = match t.backing with Flat _ -> None | Dag d -> Some d.dag
+let dag = function Flat _ -> None | Dag d -> Some d.dag
 
-let vocab t =
-  match t.backing with Flat packed -> Array.length packed | Dag d -> Array.length d.merged
+let vocab = function Flat packed -> Array.length packed | Dag d -> Array.length d.merged
 
 let build (doc : Doc.t) =
   let n = Interner.size doc.keywords in
@@ -87,7 +69,7 @@ let build (doc : Doc.t) =
   of_lists (Array.map (fun l -> Array.of_list (List.rev l)) acc)
 
 let packed_list t kw =
-  match t.backing with
+  match t with
   | Flat packed -> if kw >= 0 && kw < Array.length packed then packed.(kw) else empty_packed
   | Dag d ->
     if kw < 0 || kw >= Array.length d.merged then empty_packed
@@ -111,7 +93,7 @@ let packed_list t kw =
    independent per keyword and the memo cells tolerate racing writers,
    so this is purely a scheduling change. *)
 let prefetch ?pool t kws =
-  match t.backing with
+  match t with
   | Flat _ -> ()
   | Dag d -> (
     let todo =
@@ -131,39 +113,20 @@ let prefetch ?pool t kws =
       | _ -> List.iter (fun kw -> ignore (packed_list t kw)) kws))
 
 let peek_merged t kw =
-  match t.backing with
+  match t with
   | Flat packed -> if kw >= 0 && kw < Array.length packed then Some packed.(kw) else None
   | Dag d ->
     if kw < 0 || kw >= Array.length d.merged then None else Atomic.get d.merged.(kw)
 
-let materialize pk =
+let list t kw =
+  let pk = packed_list t kw in
   Array.init (Dewey.Packed.length pk.labels) (fun i ->
       { dewey = Dewey.Packed.get pk.labels i; path = pk.paths.(i) })
 
-let list t kw =
-  if kw < 0 || kw >= Array.length t.legacy then [||]
-  else begin
-    let cell = t.legacy.(kw) in
-    match Atomic.get cell with
-    | Some postings -> postings
-    | None ->
-      let postings = materialize (packed_list t kw) in
-      Atomic.incr t.materializations;
-      Atomic.set cell (Some postings);
-      postings
-  end
-
-let materialization_count t = Atomic.get t.materializations
-
-let materialized_keywords t =
-  Array.fold_left
-    (fun a cell -> match Atomic.get cell with Some _ -> a + 1 | None -> a)
-    0 t.legacy
-
-let merge_count t = match t.backing with Flat _ -> 0 | Dag d -> Atomic.get d.merges
+let merge_count = function Flat _ -> 0 | Dag d -> Atomic.get d.merges
 
 let merged_keywords t =
-  match t.backing with
+  match t with
   | Flat _ -> 0
   | Dag d ->
     Array.fold_left
@@ -174,14 +137,14 @@ let list_by_name t doc k =
   match Doc.keyword_id doc k with Some kw -> list t kw | None -> [||]
 
 let length t kw =
-  match t.backing with
+  match t with
   | Flat packed ->
     if kw >= 0 && kw < Array.length packed then Dewey.Packed.length packed.(kw).labels
     else 0
   | Dag d -> Xr_dag.posting_count d.dag kw
 
 let keyword_count t =
-  match t.backing with
+  match t with
   | Flat packed ->
     Array.fold_left
       (fun a pk -> if Dewey.Packed.length pk.labels > 0 then a + 1 else a)
@@ -204,7 +167,7 @@ let iter_packed f t =
   done
 
 let iter_lengths f t =
-  match t.backing with
+  match t with
   | Flat packed -> Array.iteri (fun kw pk -> f kw (Dewey.Packed.length pk.labels)) packed
   | Dag d ->
     for kw = 0 to Array.length d.merged - 1 do
@@ -212,14 +175,13 @@ let iter_lengths f t =
     done
 
 let packed_array t =
-  match t.backing with
+  match t with
   | Flat packed -> packed
   | Dag d -> Array.init (Array.length d.merged) (fun kw -> packed_list t kw)
 
-let to_flat t = match t.backing with Flat _ -> t | Dag _ -> of_packed (packed_array t)
+let to_flat t = match t with Flat _ -> t | Dag _ -> of_packed (packed_array t)
 
-(* Appends in packed form: the touched lists are never decoded, and the
-   input's boxed views stay unmaterialized. *)
+(* Appends in packed form: the touched lists are never decoded. *)
 let extend t ~vocab_size additions =
   let old_packed = packed_array t in
   let n = max vocab_size (Array.length old_packed) in
@@ -257,7 +219,7 @@ let packed_bytes pk =
   + (8 * Array.length pk.paths)
 
 let postings_total t =
-  match t.backing with
+  match t with
   | Flat packed -> Array.fold_left (fun a pk -> a + packed_postings pk) 0 packed
   | Dag d -> Xr_dag.postings_total d.dag
 
@@ -267,40 +229,15 @@ let sum_merged f d =
     0 d.merged
 
 let label_bytes_total t =
-  match t.backing with
+  match t with
   | Flat packed -> Array.fold_left (fun a pk -> a + packed_label_bytes pk) 0 packed
   | Dag d -> Xr_dag.label_bytes d.dag + sum_merged packed_label_bytes d
 
 let resident_bytes t =
-  match t.backing with
+  match t with
   | Flat packed -> Array.fold_left (fun a pk -> a + packed_bytes pk) 0 packed
   | Dag d ->
     (* honest accounting: the compressed structure plus whatever flat
        views queries have already merged out of it — the worst case
        (every keyword touched) is the flat index plus the DAG *)
     Xr_dag.bytes d.dag + sum_merged packed_bytes d
-
-(* ---- binary probes over the legacy boxed view --------------------------- *)
-
-(* First index in [start, |l|) whose posting satisfies [cmp >= 0]. *)
-let lower_bound l start cmp =
-  let lo = ref start and hi = ref (Array.length l) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cmp l.(mid) < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let prefix_slice_from l start dewey =
-  (* Postings inside the subtree rooted at [dewey] form a contiguous run:
-     those whose label has [dewey] as prefix. The run starts at the first
-     posting >= dewey and ends before the first posting that is >= dewey
-     but not prefixed by it. *)
-  let lo = lower_bound l start (fun p -> Dewey.compare p.dewey dewey) in
-  let hi =
-    lower_bound l start (fun p ->
-        if Dewey.is_prefix dewey p.dewey then -1 else Dewey.compare p.dewey dewey)
-  in
-  (lo, hi)
-
-let prefix_slice l dewey = prefix_slice_from l 0 dewey

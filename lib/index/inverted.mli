@@ -11,8 +11,8 @@ type posting = { dewey : Dewey.t; path : Path.id }
 
 (** Struct-of-arrays posting list: every Dewey label of the list packed
     into one contiguous buffer (see {!Dewey.Packed}), node-type ids
-    alongside. This is the resident form shared across query domains;
-    [posting array] is a lazily materialized compatibility view. *)
+    alongside. This is the only resident form, shared across query
+    domains; a [posting array] is decoded from it on demand ({!list}). *)
 type packed = { labels : Dewey.Packed.t; paths : int array }
 
 type t
@@ -61,22 +61,14 @@ val extend : t -> vocab_size:int -> (Interner.id * posting list) list -> t
 val packed_list : t -> Interner.id -> packed
 
 (** [list t kw] is the boxed posting list of keyword [kw] (empty if
-    absent), materialized from the packed form on first access and
-    memoized (safe under parallel domains). *)
+    absent). It decodes the packed list on every call and keeps nothing:
+    the paper's list-based baselines read it, serving paths scan
+    {!packed_list}. *)
 val list : t -> Interner.id -> posting array
 
-(** [list_by_name t doc k] resolves keyword [k] (normalized) first. *)
+(** [list_by_name t doc k] resolves keyword [k] (normalized) first; like
+    {!list}, it decodes on every call. *)
 val list_by_name : t -> Doc.t -> string -> posting array
-
-(** [materialization_count t] is the number of legacy boxed-view
-    materializations performed so far (memo hits excluded). The packed
-    refinement pipeline keeps this at zero; the server's /stats endpoint
-    surfaces it so regressions to the boxed path are observable. *)
-val materialization_count : t -> int
-
-(** [materialized_keywords t] is the number of keywords whose boxed view
-    is currently memoized. *)
-val materialized_keywords : t -> int
 
 (** [merge_count t] is the number of DAG-to-flat list merges performed
     so far (memo hits excluded; 0 on a flat backing). *)
@@ -92,8 +84,8 @@ val length : t -> Interner.id -> int
 (** [keyword_count t] is the number of keywords with a non-empty list. *)
 val keyword_count : t -> int
 
-(** [iter f t] applies [f kw list] to every keyword in id order
-    (materializes each list; prefer {!iter_packed} on hot paths). *)
+(** [iter f t] applies [f kw list] to every keyword in id order; it
+    decodes every list on every call (prefer {!iter_packed}). *)
 val iter : (Interner.id -> posting array -> unit) -> t -> unit
 
 (** [iter_packed f t] applies [f kw packed] to every keyword in id
@@ -146,12 +138,3 @@ val packed_label_bytes : packed -> int
 (** [packed_bytes pk] estimates the resident bytes of a packed list:
     label buffer plus one word per offsets slot and node-type id. *)
 val packed_bytes : packed -> int
-
-(** [prefix_slice list dewey] is the contiguous sub-range [(lo, hi)]
-    (half-open index interval) of postings lying in the subtree rooted at
-    [dewey], found by binary search. *)
-val prefix_slice : posting array -> Dewey.t -> int * int
-
-(** [prefix_slice_from list start dewey] restricts the search to indices
-    [>= start]. *)
-val prefix_slice_from : posting array -> int -> Dewey.t -> int * int

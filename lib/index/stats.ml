@@ -163,8 +163,8 @@ let node_count t path =
    postings that actually descend from a T-typed node) and count common
    distinct prefixes with a linear merge. Scans the packed lists in
    place — entries are decoded into a reused scratch buffer and a prefix
-   is materialized only when it differs from the previous one, so the
-   legacy boxed view is never touched. *)
+   is materialized only when it differs from the previous one, so no
+   boxed posting is ever built. *)
 let cooccur_compute t ~path k1 k2 =
   let d = Path.depth t.doc.paths path - 1 in
   let truncated kw =

@@ -193,10 +193,6 @@ let index_footprint (index : Index.t) =
        ( "bytes_per_posting",
          Json.Float
            (if postings = 0 then 0. else float_of_int total_bytes /. float_of_int postings) );
-       ( "legacy_materializations",
-         Json.Int (Xr_index.Inverted.materialization_count inv) );
-       ( "legacy_materialized_keywords",
-         Json.Int (Xr_index.Inverted.materialized_keywords inv) );
        ( "largest_lists",
          Json.List
            (List.map

@@ -875,9 +875,6 @@ let register_observability t =
       float_of_int (combined_cache_stats t).Lru.capacity);
   pull_gauge "xr_plan_cache_entries" "Compiled query plans resident across corpora"
     (fun () -> float_of_int (plan_entries t));
-  pull_counter "xr_index_materializations_total"
-    "Legacy posting-array materializations from packed lists" (fun () ->
-      sum_indices (fun ix -> Xr_index.Inverted.materialization_count ix.Index.inverted));
   (* Non-forcing totals only: a metrics scrape of a DAG-backed index
      must never trigger per-keyword merges, so these read the O(1)
      accounting accessors, not [iter_packed]. *)

@@ -89,7 +89,8 @@ let compute_ranges alg ranges =
         compute_raw alg (List.map unpack_range ranges))
 
 (* On a DAG-backed index every algorithm runs on the memoized merged
-   lists, so it behaves exactly as on a flat index. *)
+   lists, so it behaves exactly as on a flat index. The list-based branch
+   decodes the packed lists on every call. *)
 let query_ids alg (index : Xr_index.Index.t) ids =
   scan_span (fun () ->
       if is_packed alg then begin

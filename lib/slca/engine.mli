@@ -53,8 +53,9 @@ val compute_packed : algorithm -> Dewey.Packed.t list -> Dewey.t list
 val compute_ranges : algorithm -> (Dewey.Packed.t * int * int) list -> Dewey.t list
 
 (** [query_ids alg index ids] computes SLCAs for already-resolved keyword
-    ids, routing packed algorithms to the index's packed lists (no decode)
-    and list-based ones to the legacy view. *)
+    ids. Packed algorithms scan the index's packed lists in place;
+    list-based ones (the paper baselines) run on boxed lists that
+    {!Xr_index.Inverted.list} decodes on every call. *)
 val query_ids : algorithm -> Xr_index.Index.t -> Interner.id list -> Dewey.t list
 
 (** [query alg index keywords] resolves keywords against the document and

@@ -66,15 +66,18 @@ let filter (index : Index.t) keywords slcas =
     List.filter_map (Doc.keyword_id doc)
       (List.sort_uniq String.compare (List.map Token.normalize keywords))
   in
-  let lists = List.map (fun kw -> Inverted.list index.Index.inverted kw) ids in
+  let lists =
+    List.map
+      (fun kw -> (Inverted.packed_list index.Index.inverted kw).Inverted.labels)
+      ids
+  in
   List.filter
     (fun root ->
       let per_keyword =
         List.map
-          (fun list ->
-            let lo, hi = Inverted.prefix_slice list root in
-            Array.to_list (Array.sub list lo (hi - lo))
-            |> List.map (fun (p : Inverted.posting) -> p.Inverted.dewey))
+          (fun labels ->
+            let lo, hi = Dewey.Packed.prefix_slice labels ~lo:0 root in
+            List.init (hi - lo) (fun i -> Dewey.Packed.get labels (lo + i)))
           lists
       in
       witness_choice doc ~per_keyword <> None)

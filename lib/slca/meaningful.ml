@@ -37,5 +37,3 @@ let is_meaningful_dewey t dewey =
   | None -> false
 
 let filter t slcas = List.filter (is_meaningful_dewey t) slcas
-
-let compute t engine lists = filter t (engine lists)

@@ -27,9 +27,3 @@ val is_meaningful_dewey : t -> Dewey.t -> bool
 
 (** [filter t slcas] keeps the meaningful results. *)
 val filter : t -> Dewey.t list -> Dewey.t list
-
-(** [compute t algorithm lists] composes an SLCA engine with the
-    meaningfulness filter. *)
-val compute :
-  t -> (Xr_index.Inverted.posting array list -> Dewey.t list) ->
-  Xr_index.Inverted.posting array list -> Dewey.t list

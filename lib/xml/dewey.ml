@@ -282,8 +282,7 @@ module Packed = struct
   (* Entries inside the subtree rooted at [v.(0..len-1)] form a contiguous
      run: those [>=] the root whose first [len] components equal it. Both
      boundaries are binary searches on the encoded form; the upper one
-     treats every entry prefixed by the root as "still below", mirroring
-     the boxed [Inverted.prefix_slice_from]. *)
+     treats every entry prefixed by the root as "still below". *)
   let prefix_slice_sub t ~lo v len =
     let l = lower_bound_sub t ~lo v len in
     let l2 = ref l and h = ref (length t) in

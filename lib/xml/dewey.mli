@@ -142,8 +142,7 @@ module Packed : sig
 
   (** [prefix_slice_sub t ~lo v len] is the half-open index range of the
       entries lying in the subtree rooted at [v]'s first [len] components,
-      restricted to indices [>= lo] — the packed counterpart of
-      {!Inverted.prefix_slice_from}, found by two binary searches on the
+      restricted to indices [>= lo], found by two binary searches on the
       encoded form. *)
   val prefix_slice_sub : t -> lo:int -> int array -> int -> int * int
 

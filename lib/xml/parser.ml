@@ -1,8 +1,24 @@
 exception Error of int * string
 
-(* Parse the children of the currently open element [tag], until its close
-   tag. Returns children in document order. *)
-let rec parse_children lx tag =
+(* Deepest element nesting accepted, the root counting as level 1. The
+   recursion below takes one frame per level, and indexing copies one
+   Dewey prefix per ancestor type for every node, so the work per node
+   grows with the square of its depth: hostile input must fail here,
+   not there. Real corpora nest a handful of levels. *)
+let max_depth = 64
+
+(* Parse the children of the currently open element [tag], which sits at
+   nesting level [depth], until its close tag. Returns children in
+   document order. *)
+let rec parse_children lx tag depth =
+  let open_child () =
+    if depth >= max_depth then
+      raise
+        (Error
+           ( Lexer.pos lx,
+             Printf.sprintf "elements nest deeper than the limit of %d levels"
+               max_depth ))
+  in
   let rec go acc =
     match Lexer.next lx with
     | Lexer.Eof -> raise (Error (Lexer.pos lx, "unexpected end of input inside <" ^ tag ^ ">"))
@@ -12,9 +28,12 @@ let rec parse_children lx tag =
         raise
           (Error (Lexer.pos lx, Printf.sprintf "mismatched close tag </%s> inside <%s>" name tag))
     | Lexer.Chars s -> go (Tree.Text s :: acc)
-    | Lexer.Open_close_tag (name, attrs) -> go (Tree.Elem (Tree.elem ~attrs name []) :: acc)
+    | Lexer.Open_close_tag (name, attrs) ->
+      open_child ();
+      go (Tree.Elem (Tree.elem ~attrs name []) :: acc)
     | Lexer.Open_tag (name, attrs) ->
-      let children = parse_children lx name in
+      open_child ();
+      let children = parse_children lx name (depth + 1) in
       go (Tree.Elem (Tree.elem ~attrs name children) :: acc)
   in
   go []
@@ -24,7 +43,7 @@ let parse_string s =
   try
     let root =
       match Lexer.next lx with
-      | Lexer.Open_tag (name, attrs) -> Tree.elem ~attrs name (parse_children lx name)
+      | Lexer.Open_tag (name, attrs) -> Tree.elem ~attrs name (parse_children lx name 1)
       | Lexer.Open_close_tag (name, attrs) -> Tree.elem ~attrs name []
       | Lexer.Chars _ -> raise (Error (Lexer.pos lx, "character data before root element"))
       | Lexer.Close_tag _ -> raise (Error (Lexer.pos lx, "close tag before root element"))

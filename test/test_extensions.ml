@@ -101,6 +101,54 @@ let test_suggestions_contain_original_keywords () =
         (Specialize.suggest index q))
     [ [ "data" ]; [ "query" ]; [ "system"; "model" ] ]
 
+(* The SLCA step is pluggable (Lemma 3): every engine, packed or
+   list-based, must yield the very same suggestions. *)
+let test_specialize_orthogonal_to_engine () =
+  let corpora =
+    [
+      ("figure1", Lazy.force fig1);
+      ("baseball", Index.build (Xr_data.Baseball.doc ()));
+      ( "dblp",
+        Index.build
+          (Xr_data.Dblp.doc
+             ~config:{ Xr_data.Dblp.default_config with publications = 120 }
+             ()) );
+    ]
+  in
+  List.iter
+    (fun (name, index) ->
+      let lengths = ref [] in
+      Xr_index.Inverted.iter_lengths
+        (fun kw n -> lengths := (n, kw) :: !lengths)
+        index.Index.inverted;
+      let frequent =
+        List.sort (fun a b -> compare b a) !lengths
+        |> List.filteri (fun i _ -> i < 3)
+        |> List.map (fun (_, kw) -> Doc.keyword_name index.Index.doc kw)
+      in
+      let queries =
+        List.map (fun k -> [ k ]) frequent @ [ List.filteri (fun i _ -> i < 2) frequent ]
+      in
+      let suggest slca q =
+        Specialize.suggest ~config:{ Specialize.default_config with slca } index q
+      in
+      let suggested = ref false in
+      List.iter
+        (fun q ->
+          let reference = suggest Xr_slca.Engine.Scan_packed q in
+          if reference <> [] then suggested := true;
+          List.iter
+            (fun alg ->
+              check Alcotest.bool
+                (Printf.sprintf "%s {%s}: %s = scan-packed" name (String.concat " " q)
+                   (Xr_slca.Engine.name alg))
+                true
+                (suggest alg q = reference))
+            Xr_slca.Engine.all)
+        queries;
+      check Alcotest.bool (name ^ ": some query has suggestions") true !suggested)
+    corpora
+
 (* ---- result ranking ---------------------------------------------------------- *)
 
 let kw index k =
@@ -263,6 +311,8 @@ let () =
           Alcotest.test_case "auto pipeline" `Quick test_auto_pipeline;
           Alcotest.test_case "suggestions keep original keywords" `Quick
             test_suggestions_contain_original_keywords;
+          Alcotest.test_case "orthogonal to SLCA engine" `Quick
+            test_specialize_orthogonal_to_engine;
         ] );
       ( "baselines",
         [

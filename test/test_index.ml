@@ -51,14 +51,17 @@ let test_inverted_contents () =
 
 let test_prefix_slice () =
   let index = Lazy.force fig1 in
-  let john = Inverted.list index.Index.inverted (kw index "2003") in
-  let lo, hi = Inverted.prefix_slice john (Dewey.of_string "0.1") in
+  let labels =
+    (Inverted.packed_list index.Index.inverted (kw index "2003")).Inverted.labels
+  in
+  let slice dewey = Dewey.Packed.prefix_slice labels ~lo:0 dewey in
+  let lo, hi = slice (Dewey.of_string "0.1") in
   check Alcotest.int "slice covers author 0.1" 2 (hi - lo);
-  let lo0, hi0 = Inverted.prefix_slice john (Dewey.of_string "0.0") in
+  let lo0, hi0 = slice (Dewey.of_string "0.0") in
   check Alcotest.int "no 2003 under author 0.0" 0 (hi0 - lo0);
   (* slice on the whole document *)
-  let lo_r, hi_r = Inverted.prefix_slice john Dewey.root in
-  check Alcotest.int "root slice is everything" (Array.length john) (hi_r - lo_r)
+  let lo_r, hi_r = slice Dewey.root in
+  check Alcotest.int "root slice is everything" (Dewey.Packed.length labels) (hi_r - lo_r)
 
 let prop_prefix_slice_correct =
   let index = Lazy.force fig1 in
@@ -70,16 +73,15 @@ let prop_prefix_slice_correct =
   in
   QCheck.Test.make ~name:"prefix_slice = filter by is_prefix" ~count:300 (QCheck.make gen)
     (fun (ki, ni) ->
-      let k = vocab.(ki) in
-      let node = doc.Doc.nodes.(ni) in
-      let list = Inverted.list_by_name index.Index.inverted doc k in
-      let lo, hi = Inverted.prefix_slice list node.Doc.dewey in
-      let expected =
-        Array.to_list list
-        |> List.filter (fun (p : Inverted.posting) -> Dewey.is_prefix node.Doc.dewey p.dewey)
+      let labels =
+        (Inverted.packed_list index.Index.inverted (kw index vocab.(ki))).Inverted.labels
       in
-      let got = Array.to_list (Array.sub list lo (hi - lo)) in
-      got = expected)
+      let node = doc.Doc.nodes.(ni) in
+      let lo, hi = Dewey.Packed.prefix_slice labels ~lo:0 node.Doc.dewey in
+      let entries lo n = List.init n (fun i -> Dewey.Packed.get labels (lo + i)) in
+      let all = entries 0 (Dewey.Packed.length labels) in
+      let expected = List.filter (Dewey.is_prefix node.Doc.dewey) all in
+      List.equal Dewey.equal (entries lo (hi - lo)) expected)
 
 (* ---- cursor ------------------------------------------------------------- *)
 

@@ -120,22 +120,6 @@ let test_fork_isolation () =
   let after = List.map (search_bytes index) queries in
   List.iter2 (check Alcotest.string "original index bytes undisturbed") before after
 
-(* A flat append extends the touched lists in packed form, so it
-   decodes nothing into the boxed view — neither on the input, whose
-   table a fork shares with the generation still serving, nor on the
-   result. *)
-let test_append_keeps_lists_packed () =
-  let index = Index.build ~mode:Index.Flat (Xr_data.Figure1.doc ()) in
-  let appended =
-    Index.append_partition (Index.fork index)
-      (Tree.elem "inproceedings"
-         [ Tree.Elem (Tree.leaf "title" "xml database levy title fresh") ])
-  in
-  check Alcotest.int "input lists stay packed" 0
-    (Inverted.materialization_count index.Index.inverted);
-  check Alcotest.int "appended lists stay packed" 0
-    (Inverted.materialization_count appended.Index.inverted)
-
 (* ---- equivalence with from-scratch rebuilds ------------------------------ *)
 
 let subtree_gen =
@@ -446,6 +430,37 @@ let test_sharded_scatter_gather () =
       check Alcotest.bool "active generations gauge" true
         (contains prom "xr_ingest_active_generations{"))
 
+(* Hostile nesting fails closed at the parser: one element past the
+   64-level limit is a 400 counted as a parse rejection; the limit itself
+   is accepted. *)
+let test_deep_nesting_rejected () =
+  with_corpora base_config
+    [ { Server.name = "deep"; index = fig1 (); kv = None } ]
+    (fun port ->
+      let rejected () =
+        let _, _, prom = http_get port "/metrics" in
+        let key = "xr_ingest_rejected_total{corpus=\"deep\",reason=\"parse\"} " in
+        let n = String.length key in
+        List.fold_left
+          (fun acc line ->
+            if String.starts_with ~prefix:key line then
+              int_of_float (float_of_string (String.sub line n (String.length line - n)))
+            else acc)
+          0
+          (String.split_on_char '\n' prom)
+      in
+      let chain n =
+        String.concat "" (List.init n (fun _ -> "<a>"))
+        ^ "deepterm"
+        ^ String.concat "" (List.init n (fun _ -> "</a>"))
+      in
+      let before = rejected () in
+      let status, _, _ = http_post port "/ingest?sync=true" (chain 65) in
+      check Alcotest.int "65 levels is a 400" 400 status;
+      check Alcotest.int "one more parse rejection" (before + 1) (rejected ());
+      let status, _, _ = http_post port "/ingest?sync=true" (chain 64) in
+      check Alcotest.int "64 levels are accepted" 200 status)
+
 let () =
   Alcotest.run "xr_ingest"
     [
@@ -459,8 +474,6 @@ let () =
       ( "equivalence",
         [
           Alcotest.test_case "fork isolation" `Quick test_fork_isolation;
-          Alcotest.test_case "append keeps lists packed" `Quick
-            test_append_keeps_lists_packed;
           Alcotest.test_case "interleavings = rebuild, pool size 1" `Quick
             (run_prop_with_pool 1);
           Alcotest.test_case "interleavings = rebuild, pool size 4" `Quick
@@ -477,5 +490,6 @@ let () =
             test_stale_cache_never_served_after_ingest;
           Alcotest.test_case "shards=2 scatter-gather + live ingest" `Quick
             test_sharded_scatter_gather;
+          Alcotest.test_case "deep nesting is a 400" `Quick test_deep_nesting_rejected;
         ] );
     ]

@@ -186,13 +186,14 @@ let test_inverted_views () =
   let inv = index.Index.inverted in
   Inverted.iter_packed
     (fun kw pk ->
-      let legacy = Inverted.list inv kw in
-      check Alcotest.int "lengths agree" (Array.length legacy) (Inverted.packed_postings pk);
+      let decoded = Inverted.list inv kw in
+      check Alcotest.int "lengths agree" (Array.length decoded)
+        (Inverted.packed_postings pk);
       Array.iteri
         (fun i (p : Inverted.posting) ->
           check Alcotest.bool "labels agree" true (Dewey.equal p.Inverted.dewey (P.get pk.Inverted.labels i));
           check Alcotest.int "paths agree" p.Inverted.path pk.Inverted.paths.(i))
-        legacy;
+        decoded;
       check Alcotest.bool "bytes accounted" true
         (Inverted.packed_bytes pk >= Inverted.packed_label_bytes pk))
     inv

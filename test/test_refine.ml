@@ -575,36 +575,10 @@ let test_ranking_ablations_exist () =
 
 (* ---- end-to-end soundness on random documents -------------------------------- *)
 
-let gen_doc_query =
-  let open QCheck.Gen in
-  let tag = oneofl [ "a"; "b"; "c"; "d" ] in
-  let word = oneofl [ "xx"; "yy"; "zz"; "ww"; "xxyy"; "zzww" ] in
-  let rec node depth =
-    if depth = 0 then map2 Tree.leaf tag word
-    else
-      frequency
-        [
-          (1, map2 Tree.leaf tag word);
-          ( 2,
-            (fun st ->
-              let tg = tag st in
-              let w = word st in
-              let children = list_size (int_bound 3) (node (depth - 1)) st in
-              Tree.elem tg (Tree.Text w :: List.map (fun c -> Tree.Elem c) children)) );
-        ]
-  in
-  (* query words include corrupted forms: split halves, glued pairs, typos *)
-  let qword = oneofl [ "xx"; "yy"; "zz"; "ww"; "xxyy"; "zzww"; "x"; "xy"; "zzw"; "qq" ] in
-  pair (node 3) (list_size (int_range 1 3) qword)
-
-let arb_refine_case =
-  QCheck.make
-    ~print:(fun (t, q) -> Xr_xml.Printer.to_string t ^ "\nquery: " ^ String.concat "," q)
-    gen_doc_query
-
 (* every returned refined query's results really contain all its keywords *)
 let prop_results_contain_keywords =
-  QCheck.Test.make ~name:"refined results contain every RQ keyword" ~count:200 arb_refine_case
+  QCheck.Test.make ~name:"refined results contain every RQ keyword" ~count:200
+    Oracle.arb_refine_case
     (fun (tree, query) ->
       let index = Index.build (Doc.of_tree tree) in
       let doc = index.Index.doc in
@@ -634,7 +608,8 @@ let prop_results_contain_keywords =
 
 (* the decision is consistent: Original iff the plain search succeeds *)
 let prop_adaptive_decision_consistent =
-  QCheck.Test.make ~name:"Original outcome iff plain search non-empty" ~count:200 arb_refine_case
+  QCheck.Test.make ~name:"Original outcome iff plain search non-empty" ~count:200
+    Oracle.arb_refine_case
     (fun (tree, query) ->
       let index = Index.build (Doc.of_tree tree) in
       let plain = Engine.search index query in

@@ -1,8 +1,8 @@
-(* Differential suite for the packed refinement pipeline: every algorithm
-   (stack-refine / partition / SLE) must return the same outcome whether
-   it runs on packed cursors or on the legacy boxed posting arrays, and
-   the packed runs must never force a boxed view into existence. Also
-   property-checks the packed slicing/seeking primitives those scans are
+(* Reference suite for the refinement algorithms (stack-refine /
+   partition / SLE): their outcomes are checked against the paper's
+   definitions, computed by the brute-force SLCA oracle and the DP's
+   candidate list, on the bundled corpora and on random documents. Also
+   property-checks the packed slicing/seeking primitives the scans are
    built on. *)
 
 open Xr_xml
@@ -56,98 +56,157 @@ let workloads index =
 
 let make index rules query = Refine_common.make index (Ruleset.of_rules rules) query
 
+(* name, whether the outcome is a ranked Top-K (Algorithms 2 and 3) or the
+   single cheapest refinement (Algorithm 1), and the run *)
 let algorithms ~k =
   [
-    ("stack-refine", fun c -> fst (Stack_refine.run c)),
-    (fun c -> fst (Stack_refine.run_legacy c));
-    ("partition", fun c -> fst (Partition.run ~k c)),
-    (fun c -> fst (Partition.run_legacy ~k c));
-    ("sle", fun c -> fst (Sle.run ~k c)),
-    (fun c -> fst (Sle.run_legacy ~k c));
+    ("stack-refine", false, fun c -> fst (Stack_refine.run c));
+    ("partition", true, fun c -> fst (Partition.run ~k c));
+    ("sle", true, fun c -> fst (Sle.run ~k c));
   ]
-  |> List.map (fun ((name, packed), legacy) -> (name, packed, legacy))
 
-(* ---- packed == legacy, everywhere ---------------------------------------- *)
+(* ---- the reference: outcomes against the paper's definitions ------------- *)
 
-let test_differential () =
-  List.iter
-    (fun (cname, index) ->
-      List.iter
-        (fun (wname, query, rules) ->
-          let c = make index rules query in
-          List.iter
-            (fun (aname, packed, legacy) ->
-              let p = packed c in
-              let l = legacy c in
-              check Alcotest.bool
-                (Printf.sprintf "%s/%s/%s packed = legacy" cname wname aname)
-                true (p = l))
-            (algorithms ~k:3))
-        (workloads index))
-    (Lazy.force corpora)
-
-(* Engine-level: each packed selector agrees with its legacy twin through
-   the full [Engine.refine] pipeline (mining on, default config knobs). *)
-let test_engine_differential () =
-  let index = List.assoc "dblp" (Lazy.force corpora) in
-  let k1, k2 = top2 index in
-  let query = [ k1; k2; "zzenginejunk" ] in
-  List.iter
-    (fun (packed_alg, legacy_alg) ->
-      let run alg =
-        let config = { Engine.default_config with algorithm = alg } in
-        (Engine.refine ~config index query).Engine.result
+(* Every violation of the four oracle properties by [algorithms ~k] on
+   setup [c]; [] when all hold. [oracle K] is the meaningful
+   definitional SLCA set of keyword set [K]. The candidates are the DP's
+   512 cheapest refined queries over the document's keywords (beam 512),
+   without the original query ([prop_dp_optimal] in test_refine checks
+   the DP itself against exhaustive enumeration). The properties:
+   - original outcome: [Original (oracle Q)] iff [oracle Q] is non-empty;
+   - result sets: every refined match has [slcas = oracle keywords], and
+     that list is non-empty;
+   - cheapest refinement: [No_result] iff no candidate has oracle
+     results, every match is a candidate, and the cheapest candidate
+     with results sets the cheapest match, unless a ranked Top-K
+     returned K matches that all rank at or above it;
+   - agreement: all algorithms return the same outcome kind. *)
+let violations ~k (c : Refine_common.t) =
+  let doc = c.index.Index.doc in
+  let slcas = Oracle.make doc in
+  let oracle keywords =
+    Xr_slca.Meaningful.filter c.meaningful (Oracle.slca slcas keywords)
+  in
+  let q = oracle c.query in
+  let candidates =
+    Optimal_rq.top_k
+      ~config:{ c.dp_config with Optimal_rq.beam = 512 }
+      ~rules:c.rules
+      ~available:(fun kw -> Doc.keyword_id doc kw <> None)
+      ~k:512 c.query
+    |> List.filter (fun rq -> not (Refined_query.is_original rq))
+  in
+  let cheapest =
+    lazy (List.find_opt (fun rq -> oracle rq.Refined_query.keywords <> []) candidates)
+  in
+  let is_candidate (rq : Refined_query.t) =
+    List.exists
+      (fun (cand : Refined_query.t) ->
+        String.equal (Refined_query.key cand) (Refined_query.key rq)
+        && cand.dissimilarity = rq.dissimilarity)
+      candidates
+  in
+  let same = List.equal Dewey.equal in
+  let check_outcome (name, ranked, outcome) =
+    let bad fmt = Printf.ksprintf (fun s -> [ name ^ ": " ^ s ]) fmt in
+    match outcome with
+    | Result.Original r ->
+      if q = [] then bad "Original, but the oracle finds no result for the query"
+      else if not (same r q) then bad "Original results differ from the oracle's"
+      else []
+    | _ when q <> [] -> bad "the query has oracle results, but no Original outcome"
+    | Result.No_result -> (
+      match Lazy.force cheapest with
+      | None -> []
+      | Some rq ->
+        bad "No_result, but candidate %s has results" (Refined_query.to_string rq))
+    | Result.Refined matches -> (
+      let per_match (m : Result.rq_match) =
+        let rq = m.Result.rq in
+        let expected = oracle rq.Refined_query.keywords in
+        (if expected = [] then bad "%s has no oracle result" (Refined_query.to_string rq)
+         else if not (same m.Result.slcas expected) then
+           bad "%s results differ from the oracle's" (Refined_query.to_string rq)
+         else [])
+        @
+        if is_candidate rq then []
+        else bad "%s is not a DP candidate" (Refined_query.to_string rq)
       in
-      check Alcotest.bool
-        (Engine.algorithm_name packed_alg ^ " = " ^ Engine.algorithm_name legacy_alg)
-        true
-        (run packed_alg = run legacy_alg))
-    [
-      (Engine.Stack_refine, Engine.Stack_refine_legacy);
-      (Engine.Partition, Engine.Partition_legacy);
-      (Engine.Short_list_eager, Engine.Sle_legacy);
-    ]
+      List.concat_map per_match matches
+      @
+      match (Lazy.force cheapest, matches) with
+      | None, _ -> bad "Refined, but no candidate has oracle results"
+      | Some _, [] -> bad "Refined with no match"
+      | Some best, _ ->
+        let min_ds =
+          List.fold_left
+            (fun a (m : Result.rq_match) -> min a m.Result.rq.Refined_query.dissimilarity)
+            max_int matches
+        in
+        (* A ranked Top-K comes from a pool of the 2K cheapest
+           refinements, ordered by the paper's ranking model, which may
+           place K dearer ones ahead of the cheapest: only then may the
+           cheapest be missing. *)
+        let best_rank =
+          (Ranking.score c.index.Index.stats ~original:c.query best).Ranking.rank
+        in
+        let outranked =
+          ranked
+          && List.length matches = k
+          && List.for_all
+               (fun (m : Result.rq_match) ->
+                 match m.Result.score with
+                 | Some s -> s.Ranking.rank >= best_rank
+                 | None -> false)
+               matches
+        in
+        if min_ds = best.dissimilarity || outranked then []
+        else
+          bad "cheapest match costs %d, the cheapest candidate with results, %s, %d"
+            min_ds (Refined_query.to_string best) best.dissimilarity)
+  in
+  let outcomes =
+    List.map (fun (name, ranked, run) -> (name, ranked, run c)) (algorithms ~k)
+  in
+  let kind = function
+    | Result.Original _ -> "Original"
+    | Result.Refined _ -> "Refined"
+    | Result.No_result -> "No_result"
+  in
+  let agreement =
+    match List.sort_uniq String.compare (List.map (fun (_, _, o) -> kind o) outcomes) with
+    | [ _ ] -> []
+    | kinds -> [ "outcome kinds disagree: " ^ String.concat ", " kinds ]
+  in
+  List.concat_map check_outcome outcomes @ agreement
 
-(* ---- zero materialization on the packed path ----------------------------- *)
+(* The 3 corpora x 5 workloads, each with the workload's own rules or
+   with those merged into the rules the engine mines for the query. *)
+let test_oracle_corpora ~mined () =
+  let failures =
+    List.concat_map
+      (fun (cname, index) ->
+        List.concat_map
+          (fun (wname, query, rules) ->
+            let rules =
+              if mined then Engine.compiled_rules ~rules index query else rules
+            in
+            List.map
+              (fun v -> Printf.sprintf "%s/%s: %s" cname wname v)
+              (violations ~k:3 (make index rules query)))
+          (workloads index))
+      (Lazy.force corpora)
+  in
+  check Alcotest.(list string) "oracle violations" [] failures
 
-let test_packed_never_materializes () =
-  (* fresh index: nothing warmed by other tests *)
-  let index = Index.build (Doc.of_tree (Xr_data.Dblp.scaled ~publications:80 ~seed:7)) in
-  let inv = index.Index.inverted in
-  check Alcotest.int "fresh index has no boxed views" 0
-    (Inverted.materialization_count inv);
-  List.iter
-    (fun (wname, query, rules) ->
-      let c = make index rules query in
-      List.iter
-        (fun (aname, packed, _) ->
-          ignore (packed c);
-          check Alcotest.int
-            (Printf.sprintf "%s/%s stays packed" wname aname)
-            0
-            (Inverted.materialization_count inv))
-        (algorithms ~k:3))
-    (workloads index);
-  check Alcotest.int "no keyword acquired a boxed view" 0
-    (Inverted.materialized_keywords inv)
-
-let test_engine_default_never_materializes () =
-  let index = Index.build (Doc.of_tree (Xr_data.Dblp.scaled ~publications:80 ~seed:11)) in
-  let k1, k2 = top2 index in
-  ignore (Engine.refine index [ k1; k2; "zzdefaultjunk" ]);
-  ignore (Engine.refine index [ k1; k2 ]);
-  ignore (Engine.search index [ k1 ]);
-  check Alcotest.int "default Engine paths stay packed" 0
-    (Inverted.materialization_count index.Index.inverted)
-
-(* legacy selectors force boxed views on demand — the counter must see it *)
-let test_legacy_materializes_on_demand () =
-  let index = Index.build (Doc.of_tree (Xr_data.Dblp.scaled ~publications:40 ~seed:13)) in
-  let k1, k2 = top2 index in
-  let c = make index [] [ k1; k2; "zzlegacyjunk" ] in
-  ignore (Stack_refine.run_legacy c);
-  check Alcotest.bool "legacy run forced boxed views" true
-    (Inverted.materialization_count index.Index.inverted > 0)
+let prop_oracle_random =
+  QCheck.Test.make ~name:"random documents, mined rules" ~count:1500
+    Oracle.arb_refine_case
+    (fun (tree, query) ->
+      let index = Index.build (Doc.of_tree tree) in
+      match violations ~k:3 (make index (Engine.compiled_rules index query) query) with
+      | [] -> true
+      | vs -> QCheck.Test.fail_report (String.concat "\n" vs))
 
 (* ---- packed slicing / seeking primitives --------------------------------- *)
 
@@ -222,18 +281,13 @@ let prop_sub_cursor =
 let () =
   Alcotest.run "xr_refine_packed"
     [
-      ( "differential",
+      ( "oracle-property",
         [
-          Alcotest.test_case "algorithms packed = legacy" `Quick test_differential;
-          Alcotest.test_case "engine packed = legacy" `Quick test_engine_differential;
-        ] );
-      ( "materialization",
-        [
-          Alcotest.test_case "packed algorithms" `Quick test_packed_never_materializes;
-          Alcotest.test_case "engine default path" `Quick
-            test_engine_default_never_materializes;
-          Alcotest.test_case "legacy still materializes" `Quick
-            test_legacy_materializes_on_demand;
+          Alcotest.test_case "corpora, given rules" `Quick
+            (test_oracle_corpora ~mined:false);
+          Alcotest.test_case "corpora, mined rules" `Quick
+            (test_oracle_corpora ~mined:true);
+          qcheck prop_oracle_random;
         ] );
       ( "primitives",
         [ qcheck prop_prefix_slice_sub; qcheck prop_seek_geq_sub; qcheck prop_sub_cursor ]

@@ -26,34 +26,8 @@ let lists_of index keywords =
       | None -> [||])
     keywords
 
-(* Reference implementation: a node is an SLCA iff its subtree contains
-   every keyword and no child subtree does too. *)
-let brute_force index keywords =
-  let doc = index.Index.doc in
-  let lists = lists_of index keywords in
-  if List.exists (fun l -> Array.length l = 0) lists then []
-  else begin
-    let contains_all dewey =
-      List.for_all
-        (fun list ->
-          Array.exists (fun (p : Inverted.posting) -> Dewey.is_prefix dewey p.Inverted.dewey) list)
-        lists
-    in
-    Array.to_list doc.Doc.nodes
-    |> List.filter_map (fun (n : Doc.node) ->
-           if not (contains_all n.Doc.dewey) then None
-           else begin
-             let proper_descendant_has =
-               Array.exists
-                 (fun (m : Doc.node) ->
-                   Dewey.depth m.Doc.dewey > Dewey.depth n.Doc.dewey
-                   && Dewey.is_prefix n.Doc.dewey m.Doc.dewey
-                   && contains_all m.Doc.dewey)
-                 doc.Doc.nodes
-             in
-             if proper_descendant_has then None else Some n.Doc.dewey
-           end)
-  end
+(* Reference: the definitional SLCA oracle over the document's nodes. *)
+let oracle index keywords = Oracle.slca (Oracle.make index.Index.doc) keywords
 
 let dewey_list = Alcotest.testable (Fmt.Dump.list Dewey.pp) (List.equal Dewey.equal)
 
@@ -61,7 +35,7 @@ let run_all index keywords =
   List.map (fun alg -> (alg, Engine.compute alg (lists_of index keywords))) Engine.all
 
 let assert_all_agree index keywords =
-  let expected = brute_force index keywords in
+  let expected = oracle index keywords in
   List.iter
     (fun (alg, got) ->
       check dewey_list
@@ -160,7 +134,7 @@ let prop_engines_agree =
     (fun (tree, query) ->
       let index = Index.build (Doc.of_tree tree) in
       let keywords = List.sort_uniq String.compare query in
-      let expected = brute_force index keywords in
+      let expected = oracle index keywords in
       List.for_all (fun (_, got) -> List.equal Dewey.equal expected got) (run_all index keywords))
 
 (* Lemma 1: a subset query's SLCA set is non-empty whenever the superset's is *)
@@ -359,7 +333,8 @@ let test_needs_refinement_definition () =
   let ids = List.map (kw index) [ "xml"; "2003" ] in
   let ctx = Meaningful.make index.Index.stats ids in
   let res =
-    Meaningful.compute ctx (Engine.compute Engine.Scan_eager) (lists_of index [ "xml"; "2003" ])
+    Meaningful.filter ctx
+      (Engine.compute Engine.Scan_eager (lists_of index [ "xml"; "2003" ]))
   in
   check Alcotest.bool "query with meaningful results" true (res <> [])
 

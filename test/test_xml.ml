@@ -158,6 +158,26 @@ let test_parse_errors () =
   expect_error "<a>&unknown;</a>";
   expect_error "oops<a/>"
 
+(* Nesting fails closed: 64 levels (the root is level 1) parse, one more
+   is a Parser.Error naming the limit, whether the innermost element is
+   an open/close pair or self-closing. *)
+let test_parse_depth_limit () =
+  let chain n ~inner =
+    String.concat "" (List.init (n - 1) (fun _ -> "<a>"))
+    ^ inner
+    ^ String.concat "" (List.init (n - 1) (fun _ -> "</a>"))
+  in
+  List.iter
+    (fun inner ->
+      check Alcotest.int "64 levels parse" 64
+        (Tree.depth (Parser.parse_string (chain 64 ~inner)));
+      match Parser.parse_string (chain 65 ~inner) with
+      | _ -> Alcotest.fail "65 levels parsed"
+      | exception Parser.Error (_, msg) ->
+        check Alcotest.string "message names the limit"
+          "elements nest deeper than the limit of 64 levels" msg)
+    [ "<b>x</b>"; "<b/>" ]
+
 let test_print_parse_roundtrip () =
   let t = sample_tree () in
   let t' = Parser.parse_string (Printer.to_string t) in
@@ -373,6 +393,7 @@ let () =
           Alcotest.test_case "escaping" `Quick test_escape;
           qcheck prop_print_parse;
           qcheck prop_parser_total;
+          Alcotest.test_case "deep nesting fails closed" `Quick test_parse_depth_limit;
         ] );
       ("path", [ Alcotest.test_case "prefix paths" `Quick test_path ]);
       ( "xpath",
