@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke checkmetrics bench benchgate slcabench refinebench parallelbench batchbench dagbench paperbench examples quickbench clean fmt
+.PHONY: all build test check smoke checkmetrics bench benchgate slcabench refinebench parallelbench batchbench paperbench examples quickbench clean fmt
 
 all: build
 
@@ -20,13 +20,12 @@ checkmetrics: build
 	scripts/check_metrics.sh
 
 # Smoke-size benchmarks (SLCA kernels + refinement pipeline + domain
-# parallelism + batched execution + dag compression).
+# parallelism + batched execution).
 bench:
 	dune exec bench/slca_bench.exe -- --smoke
 	dune exec bench/refine_bench.exe -- --smoke
 	dune exec bench/parallel_bench.exe -- --smoke
 	dune exec bench/batch_bench.exe -- --smoke
-	dune exec bench/dag_bench.exe -- --smoke
 
 # Regression gate: committed BENCH files and a fresh smoke run must both
 # keep every packed-vs-reference SLCA aggregate speedup at >= 1.0 (the
@@ -49,10 +48,6 @@ parallelbench:
 # Full-size batched-execution benchmark (the committed BENCH_batch.json).
 batchbench:
 	dune exec bench/batch_bench.exe
-
-# Full-size dag-vs-flat index benchmark (the committed BENCH_dag.json).
-dagbench:
-	dune exec bench/dag_bench.exe
 
 fmt:
 	dune build @fmt --auto-promote

@@ -118,11 +118,7 @@ let () =
   Printf.printf "== batch_bench: dblp %d publications, %s mode ==\n%!" pubs
     (if smoke then "smoke" else "full");
   let doc = Doc.of_tree (Xr_data.Dblp.scaled ~publications:pubs ~seed:2009) in
-  (* Pinned flat: these benches measure their kernels, not the index
-         representation — bench/dag_bench.exe owns the flat-vs-dag
-         comparison, so the numbers here stay stable across the CI
-         XR_INDEX matrix. *)
-      let index = Index.build ~mode:Index.Flat doc in
+  let index = Index.build doc in
   let config batch =
     {
       Server.default_config with

@@ -93,11 +93,7 @@ let () =
   let corpus_json = ref [] in
   List.iter
     (fun (name, doc) ->
-      (* Pinned flat: these benches measure their kernels, not the index
-         representation — bench/dag_bench.exe owns the flat-vs-dag
-         comparison, so the numbers here stay stable across the CI
-         XR_INDEX matrix. *)
-      let index = Index.build ~mode:Index.Flat doc in
+      let index = Index.build doc in
       Printf.printf "\n== %s: %d nodes ==\n%!" name (Doc.node_count doc);
       let seq_total = ref 0. in
       let par_total = Hashtbl.create 4 in

@@ -95,11 +95,7 @@ let () =
   let analyze_instr_ns = ref 0. and analyze_raw_ns = ref 0. in
   List.iter
     (fun (name, doc) ->
-      (* Pinned flat: these benches measure their kernels, not the index
-         representation — bench/dag_bench.exe owns the flat-vs-dag
-         comparison, so the numbers here stay stable across the CI
-         XR_INDEX matrix. *)
-      let index = Index.build ~mode:Index.Flat doc in
+      let index = Index.build doc in
       let postings = ref 0 and bytes = ref 0 in
       Inverted.iter_packed
         (fun _ pk ->

@@ -24,26 +24,9 @@ let doc_file =
 let query_args =
   Arg.(value & pos_all string [] & info [] ~docv:"KEYWORD" ~doc:"Query keywords.")
 
-(* Every command that holds an index resident takes [--compress]; when
-   absent the ambient default applies (the XR_INDEX environment
-   variable, as in CI's flat/dag matrix, else flat). *)
-let compress_arg =
-  Arg.(
-    value
-    & opt (some (enum [ ("flat", Index.Flat); ("dag", Index.Dag) ])) None
-    & info [ "compress" ] ~docv:"REPR"
-        ~doc:
-          "In-memory index representation: $(b,flat) (one packed postings list per \
-           keyword) or $(b,dag) (shared-subtree compressed, lists merged lazily). \
-           Defaults to \\$XR_INDEX when set, else flat. Results are identical either \
-           way.")
-
-let resolve_mode = function Some m -> m | None -> Index.default_mode ()
-
-let load_index ?mode file =
-  let mode = resolve_mode mode in
-  if Filename.check_suffix file ".xrdb" then Index.load ~mode (Xr_store.Kv.btree_file file)
-  else Index.of_file ~mode file
+let load_index file =
+  if Filename.check_suffix file ".xrdb" then Index.load (Xr_store.Kv.btree_file file)
+  else Index.of_file file
 
 let json_flag =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON (the server's schema).")
@@ -96,49 +79,31 @@ let index_cmd =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:
-            "Print representation statistics after building: postings, resident bytes, \
-             and (under --compress dag) the subtree-dedup ratios of the compressed form.")
+          ~doc:"Print representation statistics after building: postings and resident bytes.")
   in
-  let run doc out mode show_stats =
+  let run doc out show_stats =
     let t0 = Unix.gettimeofday () in
-    let mode = resolve_mode mode in
-    let index = Index.of_file ~mode doc in
-    (* Capture before [save]: persisting a dag index expands every list
-       into the merge cache, which would distort the resident figure. *)
-    let postings = Xr_index.Inverted.postings_total index.Index.inverted in
-    let resident = Xr_index.Inverted.resident_bytes index.Index.inverted in
+    let index = Index.of_file doc in
     let kv = Xr_store.Kv.btree_file out in
     Index.save index kv;
     kv.Xr_store.Kv.close ();
-    Printf.printf "indexed %s -> %s: %d nodes, %d keywords, %d node types (%s) in %.2fs\n" doc
-      out
-      (Xr_xml.Doc.node_count index.Index.doc)
+    let nodes = Xr_xml.Doc.node_count index.Index.doc in
+    Printf.printf "indexed %s -> %s: %d nodes, %d keywords, %d node types in %.2fs\n" doc out
+      nodes
       (List.length (Xr_xml.Doc.vocabulary index.Index.doc))
       (Xr_xml.Path.size index.Index.doc.Xr_xml.Doc.paths)
-      (Index.mode_name (Index.mode index))
       (Unix.gettimeofday () -. t0);
     if show_stats then begin
-      let inv = index.Index.inverted in
-      let nodes = Xr_xml.Doc.node_count index.Index.doc in
-      Printf.printf "  postings        %d\n" postings;
+      let resident = Xr_index.Inverted.resident_bytes index.Index.inverted in
+      Printf.printf "  postings        %d\n"
+        (Xr_index.Inverted.postings_total index.Index.inverted);
       Printf.printf "  resident bytes  %d (%.1f bytes/node)\n" resident
-        (float_of_int resident /. float_of_int (max 1 nodes));
-      match Xr_index.Inverted.dag inv with
-      | None -> ()
-      | Some dag ->
-        let s = Xr_dag.stats dag in
-        Printf.printf "  dag classes     %d of %d nodes (node dedup %.3f)\n" s.Xr_dag.classes
-          s.Xr_dag.nodes (Xr_dag.node_dedup_ratio dag);
-        Printf.printf "  dag edges       %d of %d tree edges (edge dedup %.3f)\n"
-          s.Xr_dag.dag_edges s.Xr_dag.tree_edges (Xr_dag.edge_dedup_ratio dag);
-        Printf.printf "  occurrence classes %d over %d instances (%d postings)\n"
-          s.Xr_dag.occurrence_classes s.Xr_dag.instances s.Xr_dag.postings
+        (float_of_int resident /. float_of_int (max 1 nodes))
     end
   in
   Cmd.v
     (Cmd.info "index" ~doc:"Build and persist the inverted lists and statistics of a document.")
-    Term.(const run $ doc_file $ out $ compress_arg $ show_stats)
+    Term.(const run $ doc_file $ out $ show_stats)
 
 (* ---- search ----------------------------------------------------------------- *)
 
@@ -178,8 +143,8 @@ let search_cmd =
           ~doc:"Execute the query and append per-stage actuals as JSON: span durations, \
                 per-chunk cost-model drift, candidates in/out, and GC deltas.")
   in
-  let run doc mode alg rank interconnected trace explain_plan analyze json query =
-    let index = load_index ?mode doc in
+  let run doc alg rank interconnected trace explain_plan analyze json query =
+    let index = load_index doc in
     let slca =
       match Xr_slca.Engine.of_name alg with
       | Some a -> a
@@ -264,7 +229,7 @@ let search_cmd =
   Cmd.v
     (Cmd.info "search" ~doc:"Meaningful-SLCA keyword search (no refinement).")
     Term.(
-      const run $ doc_file $ compress_arg $ alg $ rank $ interconnected $ trace $ explain_plan
+      const run $ doc_file $ alg $ rank $ interconnected $ trace $ explain_plan
       $ analyze $ json_flag $ query_args)
 
 (* ---- suggest -------------------------------------------------------------- *)
@@ -302,7 +267,19 @@ let suggest_cmd =
 (* ---- refine ------------------------------------------------------------------ *)
 
 let refine_cmd =
-  let k = Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Refined queries to return.") in
+  let k =
+    (* the refinement top-k lists need room for at least one query *)
+    let positive =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | Some _ -> Error (`Msg "K must be at least 1")
+        | None -> Error (`Msg (Printf.sprintf "invalid K value %S (expected an integer)" s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
+    Arg.(value & opt positive 3 & info [ "k" ] ~docv:"K" ~doc:"Refined queries to return.")
+  in
   let alg =
     Arg.(
       value
@@ -335,9 +312,9 @@ let refine_cmd =
       & opt (some file) None
       & info [ "thesaurus" ] ~docv:"FILE" ~doc:"Extra synonym/acronym entries (see Thesaurus format).")
   in
-  let run doc mode k alg show_rules rules_file no_mine explain explain_plan thesaurus_file
-      json query =
-    let index = load_index ?mode doc in
+  let run doc k alg show_rules rules_file no_mine explain explain_plan thesaurus_file json
+      query =
+    let index = load_index doc in
     let algorithm =
       match Engine.algorithm_of_name alg with
       | Some a -> a
@@ -391,7 +368,7 @@ let refine_cmd =
   Cmd.v
     (Cmd.info "refine" ~doc:"Automatic XML keyword query refinement (the paper's pipeline).")
     Term.(
-      const run $ doc_file $ compress_arg $ k $ alg $ show_rules $ rules_file $ no_mine
+      const run $ doc_file $ k $ alg $ show_rules $ rules_file $ no_mine
       $ explain $ explain_plan $ thesaurus_file $ json_flag $ query_args)
 
 (* ---- serve -------------------------------------------------------------------- *)
@@ -520,6 +497,15 @@ let serve_cmd =
             "XML document or .xrdb store to serve; repeat to serve several corpora \
              (each named after its file, partitioned over shards).")
   in
+  let compress =
+    Arg.(
+      value
+      & opt (enum [ ("flat", ()) ]) ()
+      & info [ "compress" ] ~docv:"REPR"
+          ~doc:
+            "Compatibility option: $(b,flat) (one packed postings list per keyword) is the \
+             only in-memory index representation and the only accepted value.")
+  in
   let shards =
     Arg.(
       value
@@ -529,13 +515,12 @@ let serve_cmd =
             "Serving shards the corpora are partitioned over (scatter-gather); 0 gives \
              every corpus its own shard.")
   in
-  let run docs mode port host unix_socket shards domains queue cache cache_shards deadline
+  let run docs () port host unix_socket shards domains queue cache cache_shards deadline
       limit parallel_threshold no_batch coalesce_window_ms plan_cache quiet no_trace
       slow_query_ms =
     if docs = [] then (
       prerr_endline "xrefine serve: pass at least one -d FILE";
       exit 2);
-    let mode = resolve_mode mode in
     (* Corpus names come from the file basenames, deduplicated in order. *)
     let seen = Hashtbl.create 8 in
     let specs =
@@ -549,9 +534,9 @@ let serve_cmd =
             (* Keep the store open: ingest persists each generation back
                into it, so the corpus survives a restart. *)
             let kv = Xr_store.Kv.btree_file file in
-            { Xr_server.Server.name; index = Index.load ~mode kv; kv = Some kv }
+            { Xr_server.Server.name; index = Index.load kv; kv = Some kv }
           end
-          else { Xr_server.Server.name; index = Index.of_file ~mode file; kv = None })
+          else { Xr_server.Server.name; index = Index.of_file file; kv = None })
         docs
     in
     let addr =
@@ -613,7 +598,7 @@ let serve_cmd =
           resident (sharded, writable via POST /ingest) and answering from parallel worker \
           domains.")
     Term.(
-      const run $ doc_files $ compress_arg $ port $ host $ unix_socket $ shards $ domains
+      const run $ doc_files $ compress $ port $ host $ unix_socket $ shards $ domains
       $ queue $ cache $ cache_shards $ deadline $ limit $ parallel_threshold $ no_batch
       $ coalesce_window_ms $ plan_cache $ quiet $ no_trace $ slow_query_ms)
 

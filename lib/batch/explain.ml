@@ -9,8 +9,7 @@ let add = Buffer.add_string
 let addf buf fmt = Printf.ksprintf (add buf) fmt
 
 let search buf (x : explain_search) =
-  addf buf "plan: %s kernel (algorithm %s, index %s)\n" x.x_kernel x.x_algorithm
-    x.x_index_mode;
+  addf buf "plan: %s kernel (algorithm %s)\n" x.x_kernel x.x_algorithm;
   addf buf "  reason: %s\n" x.x_reason;
   if x.x_missing <> [] then
     addf buf "  missing: %s\n" (String.concat ", " x.x_missing);

@@ -50,9 +50,6 @@ let compile_search ?(config = Engine.default_config) (index : Index.t) query =
     else if not (Slca_engine.is_packed alg) then
       { s_slca = alg; s_ids = ids; s_exec = Boxed; s_masses = None }
     else begin
-      (* DAG backing: merge the plan's flat views concurrently instead
-         of one by one inside the serial mapping below *)
-      Inverted.prefetch index.Index.inverted ids;
       let ranges =
         List.map
           (fun kw ->
@@ -177,7 +174,6 @@ type explain_search = {
   x_keywords : explain_keyword list;
   x_missing : string list;
   x_algorithm : string;
-  x_index_mode : string;
   x_kernel : string;
   x_reason : string;
   x_parallel : explain_parallel option;
@@ -310,7 +306,6 @@ let explain_search ?(config = Engine.default_config) ?pool_size (index : Index.t
     x_keywords = executed_order;
     x_missing = missing;
     x_algorithm = Slca_engine.name alg;
-    x_index_mode = Index.mode_name (Index.mode index);
     x_kernel = kernel;
     x_reason = reason;
     x_parallel = parallel;

@@ -109,7 +109,6 @@ type explain_search = {
       (** in executed order — driver (rarest) first for the scan family *)
   x_missing : string list;  (** normalized keywords absent from the vocabulary *)
   x_algorithm : string;
-  x_index_mode : string;  (** ["flat"] or ["dag"] *)
   x_kernel : string;  (** ["dead"], ["tiny"], ["scan"], ["stack"], ["parallel"] or ["boxed"] *)
   x_reason : string;  (** the threshold or condition that fired, spelled out *)
   x_parallel : explain_parallel option;  (** scan-parallel range plans only *)

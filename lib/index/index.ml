@@ -8,46 +8,16 @@ type t = {
   stats : Stats.t;
 }
 
-type mode = Flat | Dag
+(* Compatibility name: the flat packed lists are the only
+   representation, so selecting it changes nothing. *)
+type mode = Flat
 
-let mode_name = function Flat -> "flat" | Dag -> "dag"
-
-let mode_of_name = function "flat" -> Some Flat | "dag" -> Some Dag | _ -> None
-
-(* The ambient representation choice: [XR_INDEX=dag] switches every
-   default-mode build in the process — the lever the CI matrix uses to
-   run the whole suite over the compressed form. Read per call, not
-   once, so tests can flip it. *)
-let default_mode () =
-  match Sys.getenv_opt "XR_INDEX" with
-  | None | Some "" -> Flat
-  | Some s -> (
-    match mode_of_name s with
-    | Some m -> m
-    | None -> invalid_arg ("Index.default_mode: bad XR_INDEX value " ^ s))
-
-let mode t = match Inverted.dag t.inverted with Some _ -> Dag | None -> Flat
-
-let build ?mode doc =
-  let inverted =
-    match (match mode with Some m -> m | None -> default_mode ()) with
-    | Flat -> Inverted.build doc
-    | Dag -> Inverted.of_dag (Xr_dag.build doc)
-  in
+let build ?mode:_ doc =
+  let inverted = Inverted.build doc in
   (* [Stats.build] walks only the document; the inverted table is used
-     lazily (co-occurrence), so neither mode forces the other's lists. *)
+     lazily (co-occurrence). *)
   let stats = Stats.build doc inverted in
   { doc; inverted; stats }
-
-let compress target t =
-  match (target, mode t) with
-  | Flat, Flat | Dag, Dag -> t
-  | Dag, Flat ->
-    let inverted = Inverted.of_dag (Xr_dag.build t.doc) in
-    { t with inverted; stats = Stats.rebind t.stats ~inverted }
-  | Flat, Dag ->
-    let inverted = Inverted.to_flat t.inverted in
-    { t with inverted; stats = Stats.rebind t.stats ~inverted }
 
 let fork t =
   let doc = Doc.fork t.doc in
@@ -70,23 +40,14 @@ let append_partition_delta t subtree =
     Hashtbl.fold (fun kw l acc -> (kw, List.rev l) :: acc) additions []
   in
   let inverted =
-    match Inverted.dag t.inverted with
-    | None ->
-      Inverted.extend t.inverted ~vocab_size:(Interner.size doc.Doc.keywords) additions
-    | Some _ ->
-      (* v1 limitation: the hash-cons tables are not kept after [build],
-         so a compressed index re-runs the whole hash-cons on publish —
-         O(document), not O(partition). Acceptable while ingest batches
-         are coarse; the changed-keyword delta below stays exact either
-         way, so persistence still writes only what moved. *)
-      Inverted.of_dag (Xr_dag.build doc)
+    Inverted.extend t.inverted ~vocab_size:(Interner.size doc.Doc.keywords) additions
   in
   let stats = Stats.append t.stats ~doc ~inverted ~added in
   ({ doc; inverted; stats }, List.map fst additions)
 
 let append_partition t subtree = fst (append_partition_delta t subtree)
 
-let of_string ?mode s = build ?mode (Doc.of_string s)
+let of_string s = build (Doc.of_string s)
 
 let of_file ?mode path = build ?mode (Doc.of_file path)
 
@@ -162,7 +123,7 @@ let save_delta t (kv : Kv.t) ~changed =
   save_metadata t kv;
   kv.sync ()
 
-let load ?mode (kv : Kv.t) =
+let load (kv : Kv.t) =
   let get key =
     match kv.find key with
     | Some v -> v
@@ -192,10 +153,4 @@ let load ?mode (kv : Kv.t) =
   if Array.length nodes_per_path <> Path.size doc.paths then
     failwith "Index.load: node-type table mismatch with stored document";
   let stats = Stats.import doc inverted ~rows ~nodes_per_path in
-  let t = { doc; inverted; stats } in
-  (* The store always holds the flat form ({!save} expands a compressed
-     index); the representation is a load-time choice, re-deriving the
-     DAG from the re-parsed document when asked for. *)
-  match (match mode with Some m -> m | None -> default_mode ()) with
-  | Flat -> t
-  | Dag -> compress Dag t
+  { doc; inverted; stats }

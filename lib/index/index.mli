@@ -10,41 +10,21 @@ type t = {
   stats : Stats.t;
 }
 
-(** Inverted-list representation: [Flat] keeps one packed list per
-    keyword resident; [Dag] hash-conses the document into a DAG of
-    shared subtrees ({!Xr_dag}) and merges flat views lazily per touched
-    keyword. Both produce byte-identical lists through
-    {!Inverted.packed_list}, so every query path works over either. *)
-type mode = Flat | Dag
+(** Compatibility name for the only in-memory representation, one
+    packed list per keyword ({!Inverted}). It exists so callers that
+    still spell [~mode:Flat] keep compiling; selecting it changes
+    nothing. *)
+type mode = Flat
 
-val mode_name : mode -> string
-
-val mode_of_name : string -> mode option
-
-(** [default_mode ()] is the ambient representation: [Flat], unless the
-    [XR_INDEX] environment variable says [dag] (or [flat]) — the switch
-    the CI matrix flips to run the whole suite over the compressed form.
-    @raise Invalid_argument on an unrecognized value. *)
-val default_mode : unit -> mode
-
-(** [mode t] is the representation [t] is currently backed by. *)
-val mode : t -> mode
-
-(** [build ?mode doc] builds all in-memory indices ([mode] defaults to
-    {!default_mode}). *)
+(** [build doc] builds all in-memory indices. [mode] is a compatibility
+    argument (see {!mode}). *)
 val build : ?mode:mode -> Doc.t -> t
 
-(** [compress mode t] is [t] re-backed by [mode] (identity if already
-    there): [Dag] re-derives the compressed form from the document,
-    [Flat] expands every list. Statistics are rebound, results are
-    unchanged. *)
-val compress : mode -> t -> t
+(** [of_string s] parses, compiles and indexes an XML document. *)
+val of_string : string -> t
 
-(** [of_string ?mode s] parses, compiles and indexes an XML document. *)
-val of_string : ?mode:mode -> string -> t
-
-(** [of_file ?mode path] reads, parses, compiles and indexes an XML
-    file. *)
+(** [of_file path] reads, parses, compiles and indexes an XML file.
+    [mode] is a compatibility argument (see {!mode}). *)
 val of_file : ?mode:mode -> string -> t
 
 (** [append_partition t subtree] incrementally indexes [subtree] as a new
@@ -52,10 +32,7 @@ val of_file : ?mode:mode -> string -> t
     lists and statistics are extended without rescanning the existing
     document. Returns the updated bundle; the input bundle must not be
     used afterwards (its statistics tables are shared and bumped in
-    place). On a [Dag]-backed bundle the compressed expansion is rebuilt
-    from the whole document instead of extended — O(document) per
-    publish, a v1 limitation of the representation (the changed-keyword
-    delta is exact either way). *)
+    place). *)
 val append_partition : t -> Tree.t -> t
 
 (** [append_partition_delta t subtree] is {!append_partition} plus the
@@ -84,13 +61,9 @@ val save : t -> Xr_store.Kv.t -> unit
     previously synced generation intact. *)
 val save_delta : t -> Xr_store.Kv.t -> changed:Xr_xml.Interner.id list -> unit
 
-(** [load ?mode kv] restores an index bundle saved by {!save}: the
-    document is re-parsed from the stored text; inverted lists and
-    statistics are decoded from the store without rescanning the
-    document. The store always holds the flat lists ({!save} expands a
-    compressed index); [mode] (default {!default_mode}) chooses the
-    resident representation, re-deriving the DAG from the document when
-    [Dag].
+(** [load kv] restores an index bundle saved by {!save}: the document
+    is re-parsed from the stored text; inverted lists and statistics are
+    decoded from the store without rescanning the document.
     @raise Failure if the store does not hold a saved index or is
     inconsistent with the stored document. *)
-val load : ?mode:mode -> Xr_store.Kv.t -> t
+val load : Xr_store.Kv.t -> t

@@ -144,8 +144,6 @@ let fork t ~doc =
     memo_shards = make_memo_shards ();
   }
 
-let rebind t ~inverted = { t with inverted; memo_shards = make_memo_shards () }
-
 let doc t = t.doc
 
 let df t ~path ~kw = try Hashtbl.find t.df (path, kw) with Not_found -> 0

@@ -27,13 +27,6 @@ val build : Doc.t -> Inverted.t -> t
 (** [doc t] is the document these statistics describe. *)
 val doc : t -> Doc.t
 
-(** [rebind t ~inverted] points the lazily-computed co-occurrence path
-    at a different inverted table over the same document (the memo is
-    reset). Used when an index bundle switches list representation
-    ({!Index.compress}) — the eager tables depend only on the document,
-    so nothing else changes. *)
-val rebind : t -> inverted:Inverted.t -> t
-
 val df : t -> path:Path.id -> kw:Interner.id -> int
 
 val tf : t -> path:Path.id -> kw:Interner.id -> int

@@ -26,9 +26,8 @@ let span_json (sp : Tracing.span) =
     (Int64.to_float sp.Tracing.dur_ns /. 1e6)
     sp.Tracing.span_id sp.Tracing.parent_id sp.Tracing.domain
 
-let corpus_json (name, generation, mode) =
-  Printf.sprintf {|{"corpus":"%s","generation":%d,"index":"%s"}|} (escape name) generation
-    (escape mode)
+let corpus_json (name, generation) =
+  Printf.sprintf {|{"corpus":"%s","generation":%d}|} (escape name) generation
 
 let render ~endpoint ~status ~ms ~trace_id ?(corpora = []) spans =
   let corpora_field =

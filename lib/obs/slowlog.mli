@@ -7,14 +7,14 @@ val render :
   status:int ->
   ms:float ->
   trace_id:int ->
-  ?corpora:(string * int * string) list ->
+  ?corpora:(string * int) list ->
   Tracing.span list ->
   string
 (** A single line (no trailing newline):
     [{"slow_query":true,"endpoint":…,"status":…,"ms":…,"trace":…,
-      "corpora":[{"corpus":…,"generation":…,"index":…}],"spans":[…]}].
-    [corpora] attributes the entry to the (corpus, generation id,
-    index mode flat|dag) tuples the request was served from, so a slow
-    line stays diagnosable after an ingest publish swaps the index;
+      "corpora":[{"corpus":…,"generation":…}],"spans":[…]}].
+    [corpora] attributes the entry to the (corpus, generation id) pairs
+    the request was served from, so a slow line stays diagnosable after
+    an ingest publish swaps the index;
     omitted (or empty) ⇒ no ["corpora"] field, for requests that never
     touched an index. *)

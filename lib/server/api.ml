@@ -126,26 +126,17 @@ let complete_payload ~prefix completions =
              completions) );
     ]
 
-(* Everything here must stay passive: a /stats hit on a DAG-backed index
-   must not force per-keyword merges, so totals come from the
-   non-forcing accessors and per-list bytes are reported only for lists
-   already resident ([peek_merged]). *)
 let index_footprint (index : Index.t) =
   let d = index.Index.doc in
   let inv = index.Index.inverted in
   let postings = Xr_index.Inverted.postings_total inv in
   let total_bytes = Xr_index.Inverted.resident_bytes inv in
   let lists = ref [] in
-  Xr_index.Inverted.iter_lengths
-    (fun kw n ->
-      if n > 0 then begin
-        let bytes =
-          match Xr_index.Inverted.peek_merged inv kw with
-          | Some pk -> Xr_index.Inverted.packed_bytes pk
-          | None -> 0
-        in
-        lists := (Doc.keyword_name d kw, n, bytes) :: !lists
-      end)
+  Xr_index.Inverted.iter_packed
+    (fun kw pk ->
+      let n = Xr_index.Inverted.packed_postings pk in
+      if n > 0 then
+        lists := (Doc.keyword_name d kw, n, Xr_index.Inverted.packed_bytes pk) :: !lists)
     inv;
   let largest =
     let sorted =
@@ -157,55 +148,26 @@ let index_footprint (index : Index.t) =
     in
     take 10 sorted
   in
-  let dag_block =
-    match Xr_index.Inverted.dag inv with
-    | None -> []
-    | Some dag ->
-      let s = Xr_dag.stats dag in
-      [
-        ( "dag",
-          Json.Obj
-            [
-              ("nodes", Json.Int s.Xr_dag.nodes);
-              ("classes", Json.Int s.Xr_dag.classes);
-              ("occurrence_classes", Json.Int s.Xr_dag.occurrence_classes);
-              ("instances", Json.Int s.Xr_dag.instances);
-              ("tree_edges", Json.Int s.Xr_dag.tree_edges);
-              ("dag_edges", Json.Int s.Xr_dag.dag_edges);
-              ("node_dedup_ratio", Json.Float (Xr_dag.node_dedup_ratio dag));
-              ("edge_dedup_ratio", Json.Float (Xr_dag.edge_dedup_ratio dag));
-              ("dag_bytes", Json.Int (Xr_dag.bytes dag));
-              ( "bytes_per_node",
-                Json.Float
-                  (if s.Xr_dag.nodes = 0 then 0.
-                   else float_of_int (Xr_dag.bytes dag) /. float_of_int s.Xr_dag.nodes) );
-              ("merges", Json.Int (Xr_index.Inverted.merge_count inv));
-              ("merged_keywords", Json.Int (Xr_index.Inverted.merged_keywords inv));
-            ] );
-      ]
-  in
   Json.Obj
-    ([
-       ("repr", Json.String (Index.mode_name (Index.mode index)));
-       ("postings", Json.Int postings);
-       ("label_bytes", Json.Int (Xr_index.Inverted.label_bytes_total inv));
-       ("packed_bytes", Json.Int total_bytes);
-       ( "bytes_per_posting",
-         Json.Float
-           (if postings = 0 then 0. else float_of_int total_bytes /. float_of_int postings) );
-       ( "largest_lists",
-         Json.List
-           (List.map
-              (fun (kw, n, bytes) ->
-                Json.Obj
-                  [
-                    ("keyword", Json.String kw);
-                    ("postings", Json.Int n);
-                    ("bytes", Json.Int bytes);
-                  ])
-              largest) );
-     ]
-    @ dag_block)
+    [
+      ("postings", Json.Int postings);
+      ("label_bytes", Json.Int (Xr_index.Inverted.label_bytes_total inv));
+      ("packed_bytes", Json.Int total_bytes);
+      ( "bytes_per_posting",
+        Json.Float
+          (if postings = 0 then 0. else float_of_int total_bytes /. float_of_int postings) );
+      ( "largest_lists",
+        Json.List
+          (List.map
+             (fun (kw, n, bytes) ->
+               Json.Obj
+                 [
+                   ("keyword", Json.String kw);
+                   ("postings", Json.Int n);
+                   ("bytes", Json.Int bytes);
+                 ])
+             largest) );
+    ]
 
 (* The shared domain pool's counters: fan-out activity (tasks, steals,
    batches), sequential fallbacks, and the live threshold. The pool is
@@ -349,9 +311,8 @@ let explain_payload (x : Xr_batch.Plan.explain_search) =
        ("kernel", Json.String x.P.x_kernel);
        ("reason", Json.String x.P.x_reason);
        ("algorithm", Json.String x.P.x_algorithm);
-       ("index_mode", Json.String x.P.x_index_mode);
+       ("keywords", Json.List (List.map keyword x.P.x_keywords));
      ]
-    @ [ ("keywords", Json.List (List.map keyword x.P.x_keywords)) ]
     @ (match x.P.x_missing with
       | [] -> []
       | ks -> [ ("missing", Json.List (List.map (fun k -> Json.String k) ks)) ])

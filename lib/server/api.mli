@@ -62,8 +62,8 @@ val trace_payload : (int * Xr_obs.Tracing.span list) list -> Json.t
 
 (** [explain_payload x] renders a compiled-plan explanation as the
     ["explain"] block of a /search (or /refine) response: kernel +
-    reason, algorithm, index mode, the keyword lists
-    in executed order with posting counts, and the parallel section
+    reason, algorithm, the keyword lists in executed order with
+    posting counts, and the parallel section
     (estimate/threshold/measured cost, grain curve, chunk bounds). *)
 val explain_payload : Xr_batch.Plan.explain_search -> Json.t
 

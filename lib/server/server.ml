@@ -128,14 +128,14 @@ let combined_cache_stats t =
 
 (* ---- request-scoped corpus attribution ---------------------------------- *)
 
-(* Which (corpus, generation, index mode) tuples a request was actually
+(* Which (corpus, generation) pairs a request was actually
    served from — recorded at pin time in [shard_body], consumed by the
    slow-query log so a slow line stays attributable after a publish has
    swapped the index. Ambient like the tracing context; [fan_out]
    re-installs it on pool domains. Only installed when the slow-query
    log is armed, so normal serving never touches it. *)
 module Served = struct
-  type sink = { sm : Mutex.t; mutable items : (string * int * string) list }
+  type sink = { sm : Mutex.t; mutable items : (string * int) list }
 
   let key : sink option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
@@ -163,8 +163,7 @@ module Served = struct
     match Domain.DLS.get key with
     | None -> ()
     | Some s ->
-      let mode = Index.mode_name (Index.mode gen.Generation.index) in
-      let item = (cname, gen.Generation.id, mode) in
+      let item = (cname, gen.Generation.id) in
       Mutex.protect s.sm (fun () ->
           if not (List.mem item s.items) then s.items <- item :: s.items)
 end
@@ -521,6 +520,8 @@ let handle_refine t req =
   | None -> bad_request (Printf.sprintf "unknown refinement algorithm %s" alg_name)
   | Some algorithm ->
     let* k = int_param req "k" ~default:3 in
+    (* the refinement top-k lists need room for at least one query *)
+    let* k = if k < 1 then Error (bad_request "parameter k must be at least 1") else Ok k in
     let* limit = int_param req "limit" ~default:t.config.result_limit in
     let analyze = bool_param req "analyze" in
     let explain_p = bool_param req "explain" || analyze in
@@ -875,18 +876,12 @@ let register_observability t =
       float_of_int (combined_cache_stats t).Lru.capacity);
   pull_gauge "xr_plan_cache_entries" "Compiled query plans resident across corpora"
     (fun () -> float_of_int (plan_entries t));
-  (* Non-forcing totals only: a metrics scrape of a DAG-backed index
-     must never trigger per-keyword merges, so these read the O(1)
-     accounting accessors, not [iter_packed]. *)
   pull_gauge "xr_index_postings" "Postings across all inverted lists" (fun () ->
       sum_indices (fun ix -> Xr_index.Inverted.postings_total ix.Index.inverted));
   pull_gauge "xr_index_packed_bytes" "Resident bytes of posting data" (fun () ->
       sum_indices (fun ix -> Xr_index.Inverted.resident_bytes ix.Index.inverted));
   pull_gauge "xr_index_label_bytes" "Resident bytes of varint Dewey labels" (fun () ->
       sum_indices (fun ix -> Xr_index.Inverted.label_bytes_total ix.Index.inverted));
-  pull_counter "xr_index_dag_merges_total"
-    "Per-keyword flat views merged out of DAG-backed indexes" (fun () ->
-      sum_indices (fun ix -> Xr_index.Inverted.merge_count ix.Index.inverted));
   pull_gauge "xr_index_keywords" "Distinct keywords in the vocabulary" (fun () ->
       sum_indices (fun ix -> List.length (Xr_xml.Doc.vocabulary ix.Index.doc)));
   pull_gauge "xr_index_nodes" "Element nodes in the document" (fun () ->

@@ -88,20 +88,14 @@ let compute_ranges alg ranges =
       | Stack | Scan_eager | Indexed_lookup | Multiway ->
         compute_raw alg (List.map unpack_range ranges))
 
-(* On a DAG-backed index every algorithm runs on the memoized merged
-   lists, so it behaves exactly as on a flat index. The list-based branch
-   decodes the packed lists on every call. *)
+(* The list-based branch decodes the packed lists on every call. *)
 let query_ids alg (index : Xr_index.Index.t) ids =
   scan_span (fun () ->
-      if is_packed alg then begin
-        (* DAG backing: merge the missing flat views concurrently
-           before the (inherently serial) list mapping below *)
-        Inverted.prefetch index.inverted ids;
+      if is_packed alg then
         compute_packed_raw alg
           (List.map
              (fun kw -> (Inverted.packed_list index.inverted kw).Inverted.labels)
              ids)
-      end
       else compute_raw alg (List.map (fun kw -> Inverted.list index.inverted kw) ids))
 
 let query alg (index : Xr_index.Index.t) keywords =

@@ -12,7 +12,6 @@
 #   FRESH_REFINE=path    use a pre-made refine bench JSON instead of running
 #   FRESH_PARALLEL=path  use a pre-made parallel bench JSON instead of running
 #   FRESH_BATCH=path     use a pre-made batch bench JSON instead of running
-#   FRESH_DAG=path       use a pre-made dag bench JSON instead of running
 #   (these are how an injected regression is demonstrated / tested)
 #   BENCH_OUT_DIR=dir    also copy the fresh smoke JSONs there (created if
 #                        missing) — CI uploads them as workflow artifacts
@@ -44,16 +43,6 @@
 # `analyze_off_overhead_pct` — the cost of the ANALYZE collection
 # machinery (pool-task wrapper + guarded stage notes) with no report
 # active. Both are gated at <= 2.0 in the committed and the fresh file.
-# The dag bench (BENCH_dag.json) gates the compression claim: the dblp
-# `bytes_per_node_ratio` (dag/flat) must stay <= 0.5 in the committed
-# full-size baseline and <= 0.6 in the fresh --smoke run (the 300-pub
-# smoke corpus has proportionally less subtree repetition, so its floor
-# is looser), and `speedup_dag_total` (flat-vs-dag query time on the
-# serving mix) must stay >= 0.90 for every corpus of >= 1000 nodes —
-# compression must not cost query throughput beyond the noise floor.
-# Sub-1000-node corpora (figure1, 33 nodes) are reported but not
-# speedup-gated: their scans take hundreds of ns, so the ratio measures
-# timer and scheduling noise, not serving cost.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -324,64 +313,12 @@ if bad:
 EOF
 }
 
-# check_dag FILE LABEL MAXRATIO: the dblp bytes_per_node_ratio (dag
-# bytes over flat bytes, same document) must be <= MAXRATIO, and
-# speedup_dag_total (flat/dag query time on the serving mix) >= 0.90
-# for every corpus of >= 1000 nodes — the compression claim and the
-# it-costs-nothing-at-query-time claim. Toy corpora below 1000 nodes
-# time ns-scale scans, so their speedups are printed but not enforced
-# (see header comment).
-check_dag() {
-  python3 - "$1" "$2" "$3" <<'EOF'
-import json, sys
-
-path, label, maxratio = sys.argv[1], sys.argv[2], float(sys.argv[3])
-try:
-    with open(path) as f:
-        doc = json.load(f)
-except (OSError, ValueError) as e:
-    print(f"bench-gate: FAIL - {label}: cannot read {path}: {e}", file=sys.stderr)
-    sys.exit(1)
-
-print(f"bench-gate: {label}: host_cores = {doc.get('host_cores')}")
-corpora = doc.get("corpora")
-if not isinstance(corpora, list) or not corpora:
-    print(f"bench-gate: FAIL - {label}: no corpora in {path}", file=sys.stderr)
-    sys.exit(1)
-bad = []
-dblp_ratio = None
-for c in corpora:
-    name = c.get("name", "?")
-    nodes = c.get("nodes", 0)
-    ratio = c.get("bytes_per_node_ratio")
-    speedup = c.get("speedup_dag_total")
-    gated = isinstance(nodes, int) and nodes >= 1000
-    print(f"bench-gate: {label}: {name}.bytes_per_node_ratio = {ratio:.3f}, "
-          f"{name}.speedup_dag_total = {speedup:.2f}"
-          + ("" if gated else f" (toy corpus, {nodes} nodes - not gated)"))
-    if name == "dblp":
-        dblp_ratio = ratio
-    if gated and not (isinstance(speedup, (int, float)) and speedup >= 0.90):
-        bad.append((f"{name}.speedup_dag_total", speedup, ">= 0.90"))
-if dblp_ratio is None:
-    print(f"bench-gate: FAIL - {label}: no dblp corpus in {path}", file=sys.stderr)
-    sys.exit(1)
-if not (isinstance(dblp_ratio, (int, float)) and dblp_ratio <= maxratio):
-    bad.append(("dblp.bytes_per_node_ratio", dblp_ratio, f"<= {maxratio}"))
-if bad:
-    for k, v, want in bad:
-        print(f"bench-gate: FAIL - {label}: {k} = {v} (want {want})", file=sys.stderr)
-    sys.exit(1)
-EOF
-}
-
 # 1. committed baselines
 check_speedups BENCH_slca.json "committed slca"
 check_overhead BENCH_slca.json "committed slca"
 check_refine_shape BENCH_refine.json "committed refine"
 check_parallel BENCH_parallel.json "committed parallel" 1.0
 check_batch BENCH_batch.json "committed batch"
-check_dag BENCH_dag.json "committed dag" 0.5
 
 # 2. fresh smoke runs (or injected substitutes)
 if [ -n "${FRESH_SLCA:-}" ]; then
@@ -411,16 +348,9 @@ else
   dune exec bench/batch_bench.exe -- --smoke --out "$TMP/batch.json" >/dev/null
 fi
 
-if [ -n "${FRESH_DAG:-}" ]; then
-  cp "$FRESH_DAG" "$TMP/dag.json"
-else
-  echo "bench-gate: running dag_bench --smoke (asserts dag = flat results)"
-  dune exec bench/dag_bench.exe -- --smoke --out "$TMP/dag.json" >/dev/null
-fi
-
 if [ -n "${BENCH_OUT_DIR:-}" ]; then
   mkdir -p "$BENCH_OUT_DIR"
-  for b in slca refine parallel batch dag; do
+  for b in slca refine parallel batch; do
     cp "$TMP/$b.json" "$BENCH_OUT_DIR/BENCH_${b}_smoke.json"
   done
   echo "bench-gate: fresh smoke JSONs copied to $BENCH_OUT_DIR"
@@ -431,6 +361,5 @@ check_overhead "$TMP/slca.json" "fresh slca"
 check_refine_shape "$TMP/refine.json" "fresh refine"
 check_parallel "$TMP/parallel.json" "fresh parallel" 0.90
 check_batch "$TMP/batch.json" "fresh batch"
-check_dag "$TMP/dag.json" "fresh dag" 0.6
 
 echo "bench-gate: PASS"

@@ -1,6 +1,6 @@
 (* Shared test references, linked into every test executable: the
-   definitional SLCA oracle and the random document/query generator of
-   the refinement properties.
+   definitional SLCA oracle, the random label/list/document generators
+   of the properties, and adversarial document shapes.
 
    The oracle reads only the compiled document's nodes — no posting
    list, cursor or kernel — so it is independent of everything it
@@ -77,12 +77,30 @@ let slca t keywords =
       (List.init n Fun.id)
   end
 
-(* ---- random documents with corrupted queries ------------------------------ *)
+(* ---- shared generators ---------------------------------------------------- *)
 
-let gen_doc_query =
+(* A random Dewey label of up to [depth] components, mostly below
+   [small] (so prefixes and shared ancestors are common), with
+   occasional two- and three-byte varint components. *)
+let gen_label_sized ~depth ~small =
+  QCheck.Gen.(
+    list_size (int_bound depth)
+      (frequency [ (6, int_bound small); (2, int_bound 300); (1, int_bound 100_000) ])
+    |> map Array.of_list)
+
+let gen_label = gen_label_sized ~depth:6 ~small:5
+
+(* A non-empty posting list: 1 to [max_len] distinct labels in document
+   order. *)
+let gen_sorted_labels ?(label = gen_label) max_len =
+  QCheck.Gen.(
+    list_size (int_range 1 max_len) label |> map (fun l -> List.sort_uniq Dewey.compare l))
+
+(* A random tree of depth up to 3 over the given tags and words: every
+   inner element carries a word and up to [fanout] children. *)
+let gen_tree ~tags ~words ~fanout =
   let open QCheck.Gen in
-  let tag = oneofl [ "a"; "b"; "c"; "d" ] in
-  let word = oneofl [ "xx"; "yy"; "zz"; "ww"; "xxyy"; "zzww" ] in
+  let tag = oneofl tags and word = oneofl words in
   let rec node depth =
     if depth = 0 then map2 Tree.leaf tag word
     else
@@ -90,16 +108,84 @@ let gen_doc_query =
         [
           (1, map2 Tree.leaf tag word);
           ( 2,
-            (fun st ->
+            fun st ->
               let tg = tag st in
               let w = word st in
-              let children = list_size (int_bound 3) (node (depth - 1)) st in
-              Tree.elem tg (Tree.Text w :: List.map (fun c -> Tree.Elem c) children)) );
+              let children = list_size (int_bound fanout) (node (depth - 1)) st in
+              Tree.elem tg (Tree.Text w :: List.map (fun c -> Tree.Elem c) children) );
         ]
+  in
+  node 3
+
+(* Tiny random documents for the SLCA engine properties. *)
+let gen_doc = gen_tree ~tags:[ "a"; "b"; "c" ] ~words:[ "x"; "y"; "z"; "w" ] ~fanout:4
+
+(* ---- adversarial document shapes ------------------------------------------- *)
+
+(* Deep repetition: one subtree pattern repeated at every level (6
+   blocks of 5 identical entries). *)
+let deep_repetition () =
+  let entry =
+    Tree.elem "entry" [ Tree.Elem (Tree.leaf "k" "alpha"); Tree.Elem (Tree.leaf "v" "beta") ]
+  in
+  let block = Tree.elem "block" (List.init 5 (fun _ -> Tree.Elem entry)) in
+  Tree.elem "root" (List.init 6 (fun _ -> Tree.Elem block))
+
+let single_node () = Tree.elem "root" [ Tree.Text "lonely" ]
+
+(* All-distinct: 40 leaves, no two subtrees equal. *)
+let all_distinct () =
+  Tree.elem "root"
+    (List.init 40 (fun i ->
+         Tree.Elem (Tree.leaf "item" (Printf.sprintf "w%d unique%d" (i mod 7) i))))
+
+let shapes () =
+  [
+    ("deep-repetition", deep_repetition ());
+    ("single-node", single_node ());
+    ("all-distinct", all_distinct ());
+  ]
+
+(* Random trees over a tiny vocabulary (so identical subtrees recur),
+   with duplicated siblings, up to depth 4. The seed is the
+   qcheck-shrinkable input; the tree is derived deterministically from
+   it. *)
+let tree_of_seed seed =
+  let st = Random.State.make [| seed |] in
+  let words = [| "alpha"; "beta"; "gamma"; "delta"; "epsilon" |] in
+  let tags = [| "a"; "b"; "c" |] in
+  let pick arr = arr.(Random.State.int st (Array.length arr)) in
+  let budget = ref (8 + Random.State.int st 40) in
+  let rec node depth =
+    decr budget;
+    if depth >= 4 || !budget <= 0 || Random.State.int st 3 = 0 then
+      Tree.leaf (pick tags) (pick words)
+    else begin
+      let kids = ref [] in
+      let k = 1 + Random.State.int st 3 in
+      for _ = 1 to k do
+        let child = node (depth + 1) in
+        let reps = 1 + Random.State.int st 3 in
+        for _ = 1 to reps do
+          kids := Tree.Elem child :: !kids
+        done
+      done;
+      Tree.elem (pick tags) (List.rev !kids)
+    end
+  in
+  Tree.elem "root" [ Tree.Elem (node 0) ]
+
+(* ---- random documents with corrupted queries ------------------------------ *)
+
+let gen_doc_query =
+  let open QCheck.Gen in
+  let doc =
+    gen_tree ~tags:[ "a"; "b"; "c"; "d" ] ~words:[ "xx"; "yy"; "zz"; "ww"; "xxyy"; "zzww" ]
+      ~fanout:3
   in
   (* query words include corrupted forms: split halves, glued pairs, typos *)
   let qword = oneofl [ "xx"; "yy"; "zz"; "ww"; "xxyy"; "zzww"; "x"; "xy"; "zzw"; "qq" ] in
-  pair (node 3) (list_size (int_range 1 3) qword)
+  pair doc (list_size (int_range 1 3) qword)
 
 let arb_refine_case =
   QCheck.make

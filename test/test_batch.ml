@@ -24,17 +24,7 @@ module Server = Xr_server.Server
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
 
-(* ---- generators (same shapes as test_parallel) --------------------------- *)
-
-let gen_label =
-  QCheck.Gen.(
-    list_size (int_bound 6)
-      (frequency [ (6, int_bound 5); (2, int_bound 300); (1, int_bound 100_000) ])
-    |> map Array.of_list)
-
-let gen_sorted_labels =
-  QCheck.Gen.(
-    list_size (int_range 1 60) gen_label |> map (fun l -> List.sort_uniq Dewey.compare l))
+let gen_sorted_labels = Oracle.gen_sorted_labels 60
 
 let print_lists lists =
   String.concat "; "

@@ -1,9 +1,9 @@
 (* EXPLAIN/ANALYZE introspection: golden plan text for every bundled
-   corpus in both index representations (the `--explain-plan` contract —
-   regenerate with XR_EXPLAIN_PRINT=1), byte-identity of ANALYZE runs
-   against normal execution at pool sizes 1 and 4, the report's actual
-   contents (stages, cost-model chunks, pool-task GC folding), runtime
-   GC deltas, and exemplar capture/exposition. *)
+   corpus (the `--explain-plan` contract — regenerate with
+   XR_EXPLAIN_PRINT=1), byte-identity of ANALYZE runs against normal
+   execution at pool sizes 1 and 4, the report's actual contents
+   (stages, cost-model chunks, pool-task GC folding), runtime GC deltas,
+   and exemplar capture/exposition. *)
 
 module Index = Xr_index.Index
 module Inverted = Xr_index.Inverted
@@ -53,82 +53,48 @@ let frequent_pair (index : Index.t) =
 
 (* ---- golden explain text -------------------------------------------------- *)
 
-(* Expected `--explain-plan` text per (corpus, mode) for the frequent
+(* Expected `--explain-plan` text per corpus for the frequent
    pair, with the chunk computation pinned to a pool of 2 so the output
    does not depend on the host's core count. *)
 let golden =
   [
     ( "figure1",
-      "flat",
-      "plan: tiny kernel (algorithm scan-parallel, index flat)\n\
-      \  reason: driver range 6 <= tiny threshold 24: cursor-free tiny kernel\n\
-      \  lists: title                id=7      postings=6\n\
-      \         year                 id=12     postings=6\n" );
-    ( "figure1",
-      "dag",
-      "plan: tiny kernel (algorithm scan-parallel, index dag)\n\
+      "plan: tiny kernel (algorithm scan-parallel)\n\
       \  reason: driver range 6 <= tiny threshold 24: cursor-free tiny kernel\n\
       \  lists: title                id=7      postings=6\n\
       \         year                 id=12     postings=6\n" );
     ( "baseball",
-      "flat",
-      "plan: scan kernel (algorithm scan-parallel, index flat)\n\
-      \  reason: estimated cost 1706 below parallel threshold 4096: sequential scan\n\
-      \  lists: name                 id=4      postings=578\n\
-      \         runs                 id=25     postings=1080\n\
-      \  parallel: estimate=1706 threshold=4096 measured=- pool=2\n" );
-    ( "baseball",
-      "dag",
-      "plan: scan kernel (algorithm scan-parallel, index dag)\n\
+      "plan: scan kernel (algorithm scan-parallel)\n\
       \  reason: estimated cost 1706 below parallel threshold 4096: sequential scan\n\
       \  lists: name                 id=4      postings=578\n\
       \         runs                 id=25     postings=1080\n\
       \  parallel: estimate=1706 threshold=4096 measured=- pool=2\n" );
     ( "auction",
-      "flat",
-      "plan: scan kernel (algorithm scan-parallel, index flat)\n\
-      \  reason: estimated cost 439 below parallel threshold 4096: sequential scan\n\
-      \  lists: interest             id=488    postings=161\n\
-      \         name                 id=5      postings=212\n\
-      \  parallel: estimate=439 threshold=4096 measured=- pool=2\n" );
-    ( "auction",
-      "dag",
-      "plan: scan kernel (algorithm scan-parallel, index dag)\n\
+      "plan: scan kernel (algorithm scan-parallel)\n\
       \  reason: estimated cost 439 below parallel threshold 4096: sequential scan\n\
       \  lists: interest             id=488    postings=161\n\
       \         name                 id=5      postings=212\n\
       \  parallel: estimate=439 threshold=4096 measured=- pool=2\n" );
     ( "dblp",
-      "flat",
-      "plan: scan kernel (algorithm scan-parallel, index flat)\n\
-      \  reason: estimated cost 903 below parallel threshold 4096: sequential scan\n\
-      \  lists: title                id=9      postings=300\n\
-      \         author               id=2      postings=607\n\
-      \  parallel: estimate=903 threshold=4096 measured=- pool=2\n" );
-    ( "dblp",
-      "dag",
-      "plan: scan kernel (algorithm scan-parallel, index dag)\n\
+      "plan: scan kernel (algorithm scan-parallel)\n\
       \  reason: estimated cost 903 below parallel threshold 4096: sequential scan\n\
       \  lists: title                id=9      postings=300\n\
       \         author               id=2      postings=607\n\
       \  parallel: estimate=903 threshold=4096 measured=- pool=2\n" );
   ]
 
-let test_golden (name, mode_name, expected) () =
-  let mode = Option.get (Index.mode_of_name mode_name) in
-  let index = Index.build ~mode (doc_of name) in
+let test_golden (name, expected) () =
+  let index = Index.build (doc_of name) in
   let query = frequent_pair index in
   let x = Plan.explain_search ~pool_size:2 index query in
   let text = Explain.search_to_text x in
   if Sys.getenv_opt "XR_EXPLAIN_PRINT" = Some "1" then
-    Printf.printf "=== %s %s ===\n%s" name mode_name text
-  else
-    check Alcotest.string (Printf.sprintf "%s/%s explain text" name mode_name)
-      expected text
+    Printf.printf "=== %s ===\n%s" name text
+  else check Alcotest.string (name ^ " explain text") expected text
 
 (* The refine variant appends the statically-pruned rule list. *)
 let test_refine_explain () =
-  let index = Index.build ~mode:Index.Flat (doc_of "figure1") in
+  let index = Index.build (doc_of "figure1") in
   let x = Plan.explain_refine index [ "john"; "ben" ] in
   let text = Explain.refine_to_text x in
   let contains needle =
@@ -146,7 +112,7 @@ let test_refine_explain () =
    size 1 (all-sequential) and 4 (parallel chunking under a forced-zero
    threshold). Queries are random keyword subsets of the dblp corpus. *)
 let prop_analyze_identity domains =
-  let index = Index.build ~mode:Index.Flat (doc_of "dblp") in
+  let index = Index.build (doc_of "dblp") in
   let keywords =
     let acc = ref [] in
     Inverted.iter_packed
@@ -187,7 +153,7 @@ let prop_analyze_identity domains =
 (* ---- the report's contents ------------------------------------------------ *)
 
 let test_report_stages () =
-  let index = Index.build ~mode:Index.Flat (doc_of "figure1") in
+  let index = Index.build (doc_of "figure1") in
   let _, report = Analyze.with_report (fun () -> Engine.search index [ "john"; "ben" ]) in
   let stages = Analyze.stages report in
   let names = List.map (fun (s : Analyze.stage) -> s.Analyze.sg_name) stages in
@@ -327,8 +293,8 @@ let () =
     [
       ( "golden",
         List.map
-          (fun ((name, mode, _) as g) ->
-            Alcotest.test_case (name ^ "/" ^ mode) `Quick (test_golden g))
+          (fun ((name, _) as g) ->
+            Alcotest.test_case (name ^ "/flat") `Quick (test_golden g))
           golden
         @ [ Alcotest.test_case "refine rules section" `Quick test_refine_explain ] );
       ( "analyze",

@@ -118,8 +118,8 @@ let test_specialize_orthogonal_to_engine () =
   List.iter
     (fun (name, index) ->
       let lengths = ref [] in
-      Xr_index.Inverted.iter_lengths
-        (fun kw n -> lengths := (n, kw) :: !lengths)
+      Xr_index.Inverted.iter_packed
+        (fun kw pk -> lengths := (Xr_index.Inverted.packed_postings pk, kw) :: !lengths)
         index.Index.inverted;
       let frequent =
         List.sort (fun a b -> compare b a) !lengths

@@ -14,20 +14,10 @@ let qcheck = QCheck_alcotest.to_alcotest
 
 (* ---- generators --------------------------------------------------------- *)
 
-let gen_label =
-  QCheck.Gen.(
-    list_size (int_bound 6)
-      (frequency [ (6, int_bound 5); (2, int_bound 300); (1, int_bound 100_000) ])
-    |> map Array.of_list)
-
-let gen_sorted_labels =
-  QCheck.Gen.(
-    list_size (int_range 1 40) gen_label |> map (fun l -> List.sort_uniq Dewey.compare l))
-
 let arb_sorted_labels =
   QCheck.make
     ~print:(fun l -> String.concat " " (List.map Dewey.to_string l))
-    gen_sorted_labels
+    (Oracle.gen_sorted_labels 40)
 
 (* ---- Dewey.Packed ------------------------------------------------------- *)
 
@@ -71,7 +61,7 @@ let test_raw_validation () =
 
 let prop_compare_consistent =
   QCheck.Test.make ~name:"packed compare/prefix agree with Dewey" ~count:300
-    (QCheck.pair arb_sorted_labels (QCheck.make ~print:Dewey.to_string gen_label))
+    (QCheck.pair arb_sorted_labels (QCheck.make ~print:Dewey.to_string Oracle.gen_label))
     (fun (labels, v) ->
       let pk = P.of_list labels in
       List.for_all
@@ -86,7 +76,7 @@ let prop_compare_consistent =
 
 let prop_lower_bound =
   QCheck.Test.make ~name:"packed lower_bound = naive scan" ~count:300
-    (QCheck.pair arb_sorted_labels (QCheck.make ~print:Dewey.to_string gen_label))
+    (QCheck.pair arb_sorted_labels (QCheck.make ~print:Dewey.to_string Oracle.gen_label))
     (fun (labels, v) ->
       let pk = P.of_list labels in
       let arr = Array.of_list labels in
@@ -161,7 +151,7 @@ let prop_match_probe =
     (QCheck.pair arb_sorted_labels
        (QCheck.make
           ~print:(fun l -> String.concat " " (List.map Dewey.to_string l))
-          QCheck.Gen.(list_size (int_range 1 15) gen_label |> map (List.sort Dewey.compare))))
+          QCheck.Gen.(list_size (int_range 1 15) Oracle.gen_label |> map (List.sort Dewey.compare))))
     (fun (labels, probes) ->
       let pk = P.of_list labels in
       let arr =
@@ -200,31 +190,11 @@ let test_inverted_views () =
 
 (* ---- the satellite property: packed kernels == reference kernels --------- *)
 
-let gen_doc =
-  let open QCheck.Gen in
-  let tag = oneofl [ "a"; "b"; "c" ] in
-  let word = oneofl [ "x"; "y"; "z"; "w" ] in
-  let rec node depth =
-    if depth = 0 then map2 Tree.leaf tag word
-    else
-      frequency
-        [
-          (1, map2 Tree.leaf tag word);
-          ( 2,
-            (fun st ->
-              let tg = tag st in
-              let w = word st in
-              let children = list_size (int_bound 4) (node (depth - 1)) st in
-              Tree.elem tg (Tree.Text w :: List.map (fun c -> Tree.Elem c) children)) );
-        ]
-  in
-  node 3
-
 let arb_doc_query =
   QCheck.make
     ~print:(fun (t, q) -> Xr_xml.Printer.to_string t ^ "\nquery: " ^ String.concat "," q)
     QCheck.Gen.(
-      pair gen_doc
+      pair Oracle.gen_doc
         (list_size (int_range 1 4) (oneofl [ "x"; "y"; "z"; "w"; "a"; "b"; "c" ])))
 
 let prop_packed_equals_reference =

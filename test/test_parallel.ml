@@ -159,16 +159,6 @@ let test_more_chunks_than_postings () =
   assert_all_chunkings ~chunkings:[ 2; 3; 32 ] "tiny driver"
     [ [ [| 1; 1 |]; [| 1; 2 |]; [| 2; 0; 1 |] ]; [ [| 1 |]; [| 2 |] ] ]
 
-let gen_label =
-  QCheck.Gen.(
-    list_size (int_bound 6)
-      (frequency [ (6, int_bound 5); (2, int_bound 300); (1, int_bound 100_000) ])
-    |> map Array.of_list)
-
-let gen_sorted_labels =
-  QCheck.Gen.(
-    list_size (int_range 1 60) gen_label |> map (fun l -> List.sort_uniq Dewey.compare l))
-
 let arb_case =
   let print (lists, chunks) =
     Printf.sprintf "chunks=%d lists=[%s]" chunks
@@ -178,7 +168,7 @@ let arb_case =
             lists))
   in
   QCheck.make ~print
-    QCheck.Gen.(pair (list_size (int_range 2 4) gen_sorted_labels) (int_range 1 9))
+    QCheck.Gen.(pair (list_size (int_range 2 4) (Oracle.gen_sorted_labels 60)) (int_range 1 9))
 
 let prop_parallel_eq_sequential =
   QCheck.Test.make ~name:"parallel scan = sequential scan, any chunking" ~count:300

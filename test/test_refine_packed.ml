@@ -210,23 +210,14 @@ let prop_oracle_random =
 
 (* ---- packed slicing / seeking primitives --------------------------------- *)
 
-let gen_label =
-  QCheck.Gen.(
-    list_size (int_bound 5)
-      (frequency [ (6, int_bound 4); (2, int_bound 200); (1, int_bound 50_000) ])
-    |> map Array.of_list)
-
 let arb_labels_and_probe =
+  let label = Oracle.gen_label_sized ~depth:5 ~small:4 in
   QCheck.make
     ~print:(fun (ls, v, lo) ->
       Printf.sprintf "%s probe=%s lo=%d"
         (String.concat " " (List.map Dewey.to_string ls))
         (Dewey.to_string v) lo)
-    QCheck.Gen.(
-      gen_label |> fun g ->
-      triple
-        (list_size (int_range 1 30) g |> map (fun l -> List.sort_uniq Dewey.compare l))
-        g (int_bound 5))
+    QCheck.Gen.(triple (Oracle.gen_sorted_labels ~label 30) label (int_bound 5))
 
 let prop_prefix_slice_sub =
   QCheck.Test.make ~name:"prefix_slice_sub = naive prefix scan" ~count:500

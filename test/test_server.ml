@@ -493,6 +493,23 @@ let test_e2e_malformed_gets_400 () =
           | Ok (status, _, _) -> check Alcotest.int "malformed is 400" 400 status
           | Error e -> Alcotest.failf "read: %s" (Http.error_to_string e)))
 
+(* A refinement needs room for at least one query: k below 1 is the
+   client's error, rejected before any engine runs. *)
+let test_e2e_refine_k () =
+  let config =
+    { Server.default_config with Server.addr = Server.Tcp ("127.0.0.1", 0); domains = 1; log = false }
+  in
+  with_server config (fun _server port ->
+      List.iter
+        (fun k ->
+          let status, _, body = get_closing port ("/refine?q=databse+xml&k=" ^ k) in
+          check Alcotest.int ("k=" ^ k ^ " status") 400 status;
+          check Alcotest.string ("k=" ^ k ^ " body")
+            "{\"error\":\"parameter k must be at least 1\"}\n" body)
+        [ "0"; "-3" ];
+      let status, _, _ = get_closing port "/refine?q=databse+xml&k=1" in
+      check Alcotest.int "k=1 status" 200 status)
+
 (* ---- explain / analyze / trace lookup --------------------------------------- *)
 
 let test_e2e_introspection () =
@@ -589,11 +606,11 @@ let test_e2e_introspection () =
       | Error e -> Alcotest.failf "trace body not JSON: %s" e)
 
 (* The slow-query line carries the serving attribution (corpus,
-   generation, index mode) next to the trace id and spans. *)
+   generation) next to the trace id and spans. *)
 let test_slowlog_corpora () =
   let line =
     Xr_obs.Slowlog.render ~endpoint:"/search" ~status:200 ~ms:12.5 ~trace_id:3
-      ~corpora:[ ("dblp", 4, "dag") ] []
+      ~corpora:[ ("dblp", 4) ] []
   in
   let contains needle =
     let n = String.length needle and len = String.length line in
@@ -601,7 +618,7 @@ let test_slowlog_corpora () =
     scan 0
   in
   check Alcotest.bool "corpora field rendered" true
-    (contains {|"corpora":[{"corpus":"dblp","generation":4,"index":"dag"}]|});
+    (contains {|"corpora":[{"corpus":"dblp","generation":4}]|});
   check Alcotest.bool "trace id rendered" true (contains {|"trace":3|});
   let bare =
     Xr_obs.Slowlog.render ~endpoint:"/health" ~status:200 ~ms:1. ~trace_id:0 []
@@ -688,6 +705,7 @@ let () =
           Alcotest.test_case "socket round-trip, cache, errors" `Quick test_e2e_roundtrip;
           Alcotest.test_case "keep-alive and 405" `Quick test_e2e_keepalive_and_405;
           Alcotest.test_case "malformed request over socket" `Quick test_e2e_malformed_gets_400;
+          Alcotest.test_case "refine k below 1 is a 400" `Quick test_e2e_refine_k;
           Alcotest.test_case "explain/analyze/trace lookup" `Quick test_e2e_introspection;
           Alcotest.test_case "slow-query corpora field" `Quick test_slowlog_corpora;
         ] );

@@ -103,31 +103,11 @@ let test_agree_dblp () = agree_on_corpus (Lazy.force small_dblp) 31 40
 let test_agree_baseball () = agree_on_corpus (Lazy.force baseball) 32 40
 
 (* random tiny documents: stress the stack/anchor logic on odd shapes *)
-let gen_doc =
-  let open QCheck.Gen in
-  let tag = oneofl [ "a"; "b"; "c" ] in
-  let word = oneofl [ "x"; "y"; "z"; "w" ] in
-  let rec node depth =
-    if depth = 0 then map2 Tree.leaf tag word
-    else
-      frequency
-        [
-          (1, map2 Tree.leaf tag word);
-          ( 2,
-            (fun st ->
-              let tg = tag st in
-              let w = word st in
-              let children = list_size (int_bound 4) (node (depth - 1)) st in
-              Tree.elem tg (Tree.Text w :: List.map (fun c -> Tree.Elem c) children)) );
-        ]
-  in
-  node 3
-
 let arb_doc_query =
   QCheck.make
     ~print:(fun (t, q) -> Xr_xml.Printer.to_string t ^ "\nquery: " ^ String.concat "," q)
     QCheck.Gen.(
-      pair gen_doc (list_size (int_range 1 3) (oneofl [ "x"; "y"; "z"; "w"; "a"; "b" ])))
+      pair Oracle.gen_doc (list_size (int_range 1 3) (oneofl [ "x"; "y"; "z"; "w"; "a"; "b" ])))
 
 let prop_engines_agree =
   QCheck.Test.make ~name:"all engines equal brute force on random docs" ~count:300 arb_doc_query
@@ -136,6 +116,63 @@ let prop_engines_agree =
       let keywords = List.sort_uniq String.compare query in
       let expected = oracle index keywords in
       List.for_all (fun (_, got) -> List.equal Dewey.equal expected got) (run_all index keywords))
+
+(* ---- adversarial shapes: every engine = the oracle ------------------------ *)
+
+(* Keyword-id queries over a document: frequent pairs and triples, rare
+   pairs and triples, a frequent/rare mix and single keywords. *)
+let query_mix (index : Index.t) =
+  let counts = ref [] in
+  Inverted.iter_packed
+    (fun kw pk ->
+      let n = Inverted.packed_postings pk in
+      if n > 0 then counts := (kw, n) :: !counts)
+    index.Index.inverted;
+  match List.map fst (List.stable_sort (fun (_, a) (_, b) -> Int.compare b a) !counts) with
+  | [] -> []
+  | kws ->
+    let n = List.length kws in
+    let at i = List.nth kws (min i (n - 1)) and last i = List.nth kws (max 0 (n - 1 - i)) in
+    List.map (List.sort_uniq Int.compare)
+      [
+        [ at 0; at 1 ];
+        [ at 0; at 1; at 2 ];
+        [ last 0; last 1 ];
+        [ last 0; last 1; last 2 ];
+        [ at 0; last 0 ];
+        [ at 0 ];
+        [ last 1 ];
+      ]
+
+(* Every engine, run through [query_ids], against the oracle on the
+   query mix of [tree]; one line per disagreement. *)
+let oracle_mismatches tree =
+  let index = Index.build (Doc.of_tree tree) in
+  let reference = Oracle.make index.Index.doc in
+  List.concat_map
+    (fun ids ->
+      let keywords = List.map (Doc.keyword_name index.Index.doc) ids in
+      let expected = Oracle.slca reference keywords in
+      List.filter_map
+        (fun alg ->
+          if List.equal Dewey.equal expected (Engine.query_ids alg index ids) then None
+          else Some (Printf.sprintf "%s on {%s}" (Engine.name alg) (String.concat "," keywords)))
+        Engine.all)
+    (query_mix index)
+
+let test_adversarial_shapes () =
+  List.iter
+    (fun (name, tree) ->
+      check Alcotest.(list string) (name ^ " disagreements") [] (oracle_mismatches tree))
+    (Oracle.shapes ())
+
+let prop_repetitive_trees =
+  QCheck.Test.make ~name:"engines = oracle on random repetitive trees" ~count:60
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      match oracle_mismatches (Oracle.tree_of_seed seed) with
+      | [] -> true
+      | bad -> QCheck.Test.fail_report (String.concat "\n" bad))
 
 (* Lemma 1: a subset query's SLCA set is non-empty whenever the superset's is *)
 let prop_lemma1_monotone =
@@ -472,6 +509,8 @@ let () =
           Alcotest.test_case "agreement on dblp" `Quick test_agree_dblp;
           Alcotest.test_case "agreement on baseball" `Quick test_agree_baseball;
           qcheck prop_engines_agree;
+          Alcotest.test_case "adversarial shapes = oracle" `Quick test_adversarial_shapes;
+          qcheck prop_repetitive_trees;
           qcheck prop_lemma1_monotone;
           qcheck prop_results_incomparable;
         ] );
