@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke checkmetrics bench benchgate slcabench refinebench parallelbench batchbench paperbench examples quickbench clean fmt
+.PHONY: all build test check smoke checkmetrics bench benchgate slcabench refinebench batchbench paperbench examples quickbench clean fmt
 
 all: build
 
@@ -19,12 +19,11 @@ smoke: build
 checkmetrics: build
 	scripts/check_metrics.sh
 
-# Smoke-size benchmarks (SLCA kernels + refinement pipeline + domain
-# parallelism + batched execution).
+# Smoke-size benchmarks (SLCA kernels + refinement pipeline + batched
+# execution).
 bench:
 	dune exec bench/slca_bench.exe -- --smoke
 	dune exec bench/refine_bench.exe -- --smoke
-	dune exec bench/parallel_bench.exe -- --smoke
 	dune exec bench/batch_bench.exe -- --smoke
 
 # Regression gate: committed BENCH files and a fresh smoke run must both
@@ -40,10 +39,6 @@ slcabench:
 # Full-size refinement benchmark (the committed BENCH_refine.json).
 refinebench:
 	dune exec bench/refine_bench.exe
-
-# Full-size parallel SLCA benchmark (the committed BENCH_parallel.json).
-parallelbench:
-	dune exec bench/parallel_bench.exe
 
 # Full-size batched-execution benchmark (the committed BENCH_batch.json).
 batchbench:

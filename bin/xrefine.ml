@@ -105,14 +105,28 @@ let index_cmd =
     (Cmd.info "index" ~doc:"Build and persist the inverted lists and statistics of a document.")
     Term.(const run $ doc_file $ out $ show_stats)
 
+(* A top-k size: below 1 the answer would be an empty list that looks
+   like a real "nothing found", so the option rejects it (exit 124). *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ -> Error (`Msg "K must be at least 1")
+    | None -> Error (`Msg (Printf.sprintf "invalid K value %S (expected an integer)" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* ---- search ----------------------------------------------------------------- *)
 
 let search_cmd =
   let alg =
     Arg.(
       value
-      & opt string "scan-eager"
-      & info [ "slca" ] ~docv:"ALG" ~doc:"SLCA engine: stack, scan-eager, indexed-lookup, multiway, stack-packed, scan-packed, scan-parallel.")
+      & opt string "scan-packed"
+      & info [ "slca" ] ~docv:"ALG"
+          ~doc:
+            "SLCA engine: stack, scan-eager, indexed-lookup, multiway, stack-packed, \
+             scan-packed.")
   in
   let rank =
     Arg.(value & flag & info [ "rank" ] ~doc:"Order results by XML TF*IDF relevance.")
@@ -133,15 +147,15 @@ let search_cmd =
     Arg.(
       value & flag
       & info [ "explain-plan" ]
-          ~doc:"Print the compiled plan (list order, kernel choice, cost curve, chunk bounds) \
-                without executing the query. With --json, emit the server's explain schema.")
+          ~doc:"Print the compiled plan (list order, kernel choice and why) without \
+                executing the query. With --json, emit the server's explain schema.")
   in
   let analyze =
     Arg.(
       value & flag
       & info [ "analyze" ]
           ~doc:"Execute the query and append per-stage actuals as JSON: span durations, \
-                per-chunk cost-model drift, candidates in/out, and GC deltas.")
+                candidates in/out, and GC deltas.")
   in
   let run doc alg rank interconnected trace explain_plan analyze json query =
     let index = load_index doc in
@@ -235,7 +249,9 @@ let search_cmd =
 (* ---- suggest -------------------------------------------------------------- *)
 
 let suggest_cmd =
-  let k = Arg.(value & opt int 5 & info [ "k" ] ~docv:"K" ~doc:"Suggestions to return.") in
+  let k =
+    Arg.(value & opt positive 5 & info [ "k" ] ~docv:"K" ~doc:"Suggestions to return.")
+  in
   let run doc k query =
     let index = load_index doc in
     let d = index.Index.doc in
@@ -269,15 +285,6 @@ let suggest_cmd =
 let refine_cmd =
   let k =
     (* the refinement top-k lists need room for at least one query *)
-    let positive =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok n
-        | Some _ -> Error (`Msg "K must be at least 1")
-        | None -> Error (`Msg (Printf.sprintf "invalid K value %S (expected an integer)" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
     Arg.(value & opt positive 3 & info [ "k" ] ~docv:"K" ~doc:"Refined queries to return.")
   in
   let alg =
@@ -438,15 +445,6 @@ let serve_cmd =
       & opt int 20
       & info [ "limit" ] ~docv:"N" ~doc:"Default cap on result arrays in responses.")
   in
-  let parallel_threshold =
-    Arg.(
-      value
-      & opt int Xr_slca.Parallel.default_threshold
-      & info [ "parallel-threshold" ] ~docv:"N"
-          ~doc:
-            "Minimum driver-list postings before a query fans out over the shared domain \
-             pool; smaller queries run sequentially (0 always fans out).")
-  in
   let no_batch =
     Arg.(
       value & flag
@@ -516,7 +514,7 @@ let serve_cmd =
              every corpus its own shard.")
   in
   let run docs () port host unix_socket shards domains queue cache cache_shards deadline
-      limit parallel_threshold no_batch coalesce_window_ms plan_cache quiet no_trace
+      limit no_batch coalesce_window_ms plan_cache quiet no_trace
       slow_query_ms =
     if docs = [] then (
       prerr_endline "xrefine serve: pass at least one -d FILE";
@@ -554,7 +552,6 @@ let serve_cmd =
         cache_shards;
         deadline_ms = deadline;
         result_limit = limit;
-        parallel_threshold;
         log = not quiet;
         trace = not no_trace;
         slow_query_ms;
@@ -577,10 +574,10 @@ let serve_cmd =
     in
     Printf.printf
       "xrefine serve: %d corpora (%s), %d nodes resident; %d worker domain(s), queue bound \
-       %d, cache %d, deadline %.0f ms, parallel threshold %d\nlistening on %s\n%!"
+       %d, cache %d, deadline %.0f ms\nlistening on %s\n%!"
       (List.length specs)
       (String.concat ", " (List.map (fun s -> s.Xr_server.Server.name) specs))
-      nodes domains queue cache deadline parallel_threshold where;
+      nodes domains queue cache deadline where;
     let stop _ = Xr_server.Server.stop server in
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
@@ -599,7 +596,7 @@ let serve_cmd =
           domains.")
     Term.(
       const run $ doc_files $ compress $ port $ host $ unix_socket $ shards $ domains
-      $ queue $ cache $ cache_shards $ deadline $ limit $ parallel_threshold $ no_batch
+      $ queue $ cache $ cache_shards $ deadline $ limit $ no_batch
       $ coalesce_window_ms $ plan_cache $ quiet $ no_trace $ slow_query_ms)
 
 (* ---- ingest -------------------------------------------------------------------- *)
@@ -706,7 +703,9 @@ let complete_cmd =
   let prefix =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"PREFIX" ~doc:"Keyword prefix.")
   in
-  let k = Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc:"Completions to show.") in
+  let k =
+    Arg.(value & opt positive 10 & info [ "k" ] ~docv:"K" ~doc:"Completions to show.")
+  in
   let run doc prefix k =
     let index = load_index doc in
     let d = index.Index.doc in

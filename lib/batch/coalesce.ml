@@ -61,8 +61,8 @@ let run t ~key f =
     Mutex.lock fl.fm;
     fl.waiters <- fl.waiters + 1;
     (* A follower's wait is dead time on a whole domain — donate it to
-       the pool: drain one queued task per round (chunks of the
-       leader's own scan, typically), and only sleep on the condition
+       the pool: drain one queued task per round (shard renders of a
+       multi-shard scatter), and only sleep on the condition
        when the pool has nothing to offer. No lost wakeup: the leader
        sets [outcome] and broadcasts under [fm], and we re-check
        [outcome] after re-acquiring [fm] before every wait. *)

@@ -17,9 +17,9 @@
 
     Followers do not idle: while their leader renders, each follower
     drains tasks from the global domain pool ({!Xr_pool.try_help}) —
-    typically the chunks of the leader's own parallel scan — so a
-    coalesced pile-up turns blocked request domains into extra scan
-    executors instead of sleepers.
+    the per-shard renders of a multi-shard scatter — so a coalesced
+    pile-up turns blocked request domains into extra executors instead
+    of sleepers.
 
     Counters are exported as [xr_coalesce_requests_total{role=...}],
     the members-per-flight histogram as [xr_coalesce_width], and

@@ -17,12 +17,6 @@ type search = {
   s_slca : Slca_engine.algorithm;
   s_ids : Interner.id list;
   s_exec : search_exec;
-  s_masses : Xr_slca.Parallel.masses option;
-      (* Cost curve measured at compile time for scan-parallel range
-         plans whose free estimate clears the parallel gate — the
-         chunker's split points come for free on every cache hit. The
-         plan cache is keyed by index generation, so the ranges (and
-         hence the curve) stay valid for the plan's whole life. *)
 }
 
 (* Mirror of the [parse] stage of {!Engine.search}: normalize, dedupe,
@@ -43,12 +37,12 @@ let compile_search ?(config = Engine.default_config) (index : Index.t) query =
       | None -> None)
   in
   match resolve [] keywords with
-  | None -> { s_slca = alg; s_ids = []; s_exec = Dead; s_masses = None }
+  | None -> { s_slca = alg; s_ids = []; s_exec = Dead }
   | Some ids ->
     if List.exists (fun kw -> Inverted.length index.Index.inverted kw = 0) ids then
-      { s_slca = alg; s_ids = ids; s_exec = Dead; s_masses = None }
+      { s_slca = alg; s_ids = ids; s_exec = Dead }
     else if not (Slca_engine.is_packed alg) then
-      { s_slca = alg; s_ids = ids; s_exec = Boxed; s_masses = None }
+      { s_slca = alg; s_ids = ids; s_exec = Boxed }
     else begin
       let ranges =
         List.map
@@ -58,32 +52,19 @@ let compile_search ?(config = Engine.default_config) (index : Index.t) query =
           ids
       in
       match alg with
-      | Slca_engine.Scan_packed | Slca_engine.Scan_parallel -> (
-        (* Selectivity order decided here, once: the kernels' stable
+      | Slca_engine.Scan_packed -> (
+        (* Selectivity order decided here, once: the kernel's stable
            sort is a fixpoint on the pre-sorted list, so handing the
-           sorted ranges back to them changes nothing. *)
+           sorted ranges back to it changes nothing. *)
         match Scan_packed.sort_by_length ranges with
         | ((_, dlo, dhi) as driver) :: others
           when dhi - dlo <= Scan_packed.tiny_threshold () ->
-          { s_slca = alg; s_ids = ids; s_exec = Tiny (driver, others); s_masses = None }
-        | sorted ->
-          let masses =
-            (* measure once at compile time when the free estimate says
-               the run-time chunker will want the curve; the gate in
-               [Parallel.compute_ranges] re-checks the live threshold,
-               so a threshold raised after caching still wins *)
-            if
-              alg = Slca_engine.Scan_parallel
-              && Xr_slca.Parallel.estimate sorted
-                 >= float_of_int (Xr_slca.Parallel.threshold ())
-            then Xr_slca.Parallel.measure ?pool:(Xr_pool.peek_global ()) sorted
-            else None
-          in
-          { s_slca = alg; s_ids = ids; s_exec = Ranges sorted; s_masses = masses })
+          { s_slca = alg; s_ids = ids; s_exec = Tiny (driver, others) }
+        | sorted -> { s_slca = alg; s_ids = ids; s_exec = Ranges sorted })
       | _ ->
         (* stack-packed consumes the lists in resolution order, exactly
            as [query_ids] hands them over *)
-        { s_slca = alg; s_ids = ids; s_exec = Ranges ranges; s_masses = None }
+        { s_slca = alg; s_ids = ids; s_exec = Ranges ranges }
     end
 
 (* Total postings feeding the scan — the "candidates in" figure of the
@@ -109,19 +90,8 @@ let run_search ?(config = Engine.default_config) plan (index : Index.t) =
       match exec with
       | Dead -> assert false
       | Boxed -> Slca_engine.query_ids plan.s_slca index plan.s_ids
-      | Ranges ranges -> (
-        match (plan.s_slca, plan.s_masses) with
-        | Slca_engine.Scan_parallel, (Some _ as masses) ->
-          (* hand the chunker its pre-measured cost curve *)
-          Xr_obs.Tracing.with_span "slca.scan" (fun () ->
-              Xr_slca.Parallel.compute_ranges ?masses ranges)
-        | _ -> Slca_engine.compute_ranges plan.s_slca ranges)
+      | Ranges ranges -> Slca_engine.compute_ranges plan.s_slca ranges
       | Tiny (driver, others) ->
-        (* A tiny driver sits far below the parallel threshold: for the
-           scan-parallel algorithm this dispatch *is* the sequential
-           fallback, decided at compile time, so keep its counter
-           faithful. *)
-        if plan.s_slca = Slca_engine.Scan_parallel then Xr_slca.Parallel.note_fallback ();
         Xr_obs.Tracing.with_span "slca.scan" (fun () ->
             Scan_packed.scan_tiny ~driver ~others ())
     in
@@ -159,35 +129,18 @@ let run_refine ?(config = Engine.default_config) plan (index : Index.t) query =
 
 type explain_keyword = { ek_keyword : string; ek_id : int; ek_postings : int }
 
-type explain_parallel = {
-  xp_estimate : float;
-  xp_threshold : int;
-  xp_measured : float option;
-  xp_grains : int option;
-  xp_pool_size : int;
-  xp_chunks : int;
-  xp_chunk_bounds : int array;
-  xp_curve : (int * float) array;
-}
-
 type explain_search = {
   x_keywords : explain_keyword list;
   x_missing : string list;
   x_algorithm : string;
   x_kernel : string;
   x_reason : string;
-  x_parallel : explain_parallel option;
 }
 
-let explain_search ?(config = Engine.default_config) ?pool_size (index : Index.t) query =
+let explain_search ?(config = Engine.default_config) (index : Index.t) query =
   let doc = index.Index.doc in
   let alg = config.Engine.slca in
   let plan = compile_search ~config index query in
-  let pool_size =
-    match pool_size with
-    | Some n -> max 1 n
-    | None -> ( match Xr_pool.peek_global () with Some p -> Xr_pool.size p | None -> 1)
-  in
   let keywords =
     List.filter (fun k -> String.length k > 0) (List.map Token.normalize query)
     |> List.sort_uniq String.compare
@@ -202,17 +155,17 @@ let explain_search ?(config = Engine.default_config) ?pool_size (index : Index.t
         | None -> Either.Right k)
       keywords
   in
-  (* Present the lists in executed order: the scan family re-sorts by
+  (* Present the lists in executed order: the scan family sorts by
      selectivity (driver — the rarest list — first); every other kernel
      consumes them in resolution order. The stable sort mirrors
      [Scan_packed.sort_by_length] over ranges built in id order. *)
   let executed_order =
     match alg with
-    | Slca_engine.Scan_packed | Slca_engine.Scan_parallel | Slca_engine.Scan_eager ->
+    | Slca_engine.Scan_packed | Slca_engine.Scan_eager ->
       List.stable_sort (fun a b -> compare a.ek_postings b.ek_postings) resolved
     | _ -> resolved
   in
-  let kernel, reason, parallel =
+  let kernel, reason =
     match plan.s_exec with
     | Dead ->
       let reason =
@@ -223,84 +176,20 @@ let explain_search ?(config = Engine.default_config) ?pool_size (index : Index.t
           | None -> "empty query")
         | ks -> Printf.sprintf "out of vocabulary: %s" (String.concat ", " ks)
       in
-      ("dead", reason, None)
+      ("dead", reason)
     | Boxed ->
       ( "boxed",
         Printf.sprintf "algorithm %s is not packed: list-based kernel over decoded lists"
-          (Slca_engine.name alg),
-        None )
+          (Slca_engine.name alg) )
     | Tiny ((_, dlo, dhi), _) ->
       ( "tiny",
         Printf.sprintf "driver range %d <= tiny threshold %d: cursor-free tiny kernel"
           (dhi - dlo)
-          (Scan_packed.tiny_threshold ()),
-        None )
-    | Ranges ranges -> (
-      let stack = match alg with Slca_engine.Stack_packed -> true | _ -> false in
-      if alg <> Slca_engine.Scan_parallel then
-        ( (if stack then "stack" else "scan"),
-          Printf.sprintf "sequential %s kernel over %d packed range(s)" (Slca_engine.name alg)
-            (List.length ranges),
-          None )
-      else begin
-        let thr = Xr_slca.Parallel.threshold () in
-        let est = Xr_slca.Parallel.estimate ranges in
-        let base =
-          {
-            xp_estimate = est;
-            xp_threshold = thr;
-            xp_measured = None;
-            xp_grains = None;
-            xp_pool_size = pool_size;
-            xp_chunks = 1;
-            xp_chunk_bounds = [||];
-            xp_curve = [||];
-          }
-        in
-        if est < float_of_int thr then
-          ( "scan",
-            Printf.sprintf "estimated cost %.0f below parallel threshold %d: sequential scan"
-              est thr,
-            Some base )
-        else
-          let masses =
-            match plan.s_masses with
-            | Some m -> Some m
-            | None -> Xr_slca.Parallel.measure ranges
-          in
-          match masses with
-          | None -> ("scan", "degenerate ranges: sequential scan", Some base)
-          | Some m ->
-            let cost = Xr_slca.Parallel.total_cost m in
-            let bounds = Xr_slca.Parallel.grain_bounds m in
-            let curve = Xr_slca.Parallel.cost_curve m in
-            let base =
-              {
-                base with
-                xp_measured = Some cost;
-                xp_grains = Some (Xr_slca.Parallel.grain_count m);
-                xp_curve = Array.map2 (fun b c -> (b, c)) bounds curve;
-              }
-            in
-            if cost < float_of_int thr then
-              ( "scan",
-                Printf.sprintf
-                  "measured cost %.0f below parallel threshold %d: sequential scan" cost thr,
-                Some base )
-            else if pool_size <= 1 then
-              ("scan", "pool of 1: sequential scan", Some base)
-            else begin
-              let chunks = Xr_slca.Parallel.auto_chunks ~pool_size ~total_cost:cost in
-              let cb = Xr_slca.Parallel.chunk_bounds m ~chunks in
-              ( "parallel",
-                Printf.sprintf
-                  "measured cost %.0f >= threshold %d: %d cost-balanced chunk(s) on %d domain(s)"
-                  cost thr
-                  (Array.length cb - 1)
-                  pool_size,
-                Some { base with xp_chunks = chunks; xp_chunk_bounds = cb } )
-            end
-      end)
+          (Scan_packed.tiny_threshold ()) )
+    | Ranges ranges ->
+      ( (match alg with Slca_engine.Stack_packed -> "stack" | _ -> "scan"),
+        Printf.sprintf "sequential %s kernel over %d packed range(s)"
+          (Slca_engine.name alg) (List.length ranges) )
   in
   {
     x_keywords = executed_order;
@@ -308,7 +197,6 @@ let explain_search ?(config = Engine.default_config) ?pool_size (index : Index.t
     x_algorithm = Slca_engine.name alg;
     x_kernel = kernel;
     x_reason = reason;
-    x_parallel = parallel;
   }
 
 type explain_refine = {
@@ -316,9 +204,9 @@ type explain_refine = {
   xr_rules : string list;  (** pruned rule list, in consultation order *)
 }
 
-let explain_refine ?config ?pool_size (index : Index.t) query =
+let explain_refine ?config (index : Index.t) query =
   let plan = compile_refine ?config index query in
   {
-    xr_search = explain_search ?config ?pool_size index query;
+    xr_search = explain_search ?config index query;
     xr_rules = List.map Xr_refine.Rule.to_string plan.r_rules;
   }

@@ -39,10 +39,6 @@ type search = {
   s_slca : Xr_slca.Engine.algorithm;  (** pinned at compile time *)
   s_ids : Interner.id list;  (** resolved distinct keyword ids *)
   s_exec : search_exec;
-  s_masses : Xr_slca.Parallel.masses option;
-      (** pre-measured cost curve for the adaptive chunker (scan-parallel
-          range plans whose free estimate clears the parallel gate);
-          valid for the plan's generation, like the ranges themselves *)
 }
 
 (** [compile_search ?config index query] interprets [query] once:
@@ -81,9 +77,7 @@ val run_refine :
     A rendered account of every decision {!compile_search} makes and
     the run-time dispatch it leads to — what `xrefine … --explain-plan`
     and `GET /search?…&explain=1` show. Pure: explaining never runs the
-    query (the one cursor movement it may cost is a {!measure} pass
-    when the plan cache holds no cost curve yet, read-only like the
-    compiler's own). *)
+    query and moves no cursor. *)
 
 type explain_keyword = {
   ek_keyword : string;  (** normalized *)
@@ -91,36 +85,19 @@ type explain_keyword = {
   ek_postings : int;
 }
 
-type explain_parallel = {
-  xp_estimate : float;  (** free upper bound from range lengths *)
-  xp_threshold : int;  (** live {!Xr_slca.Parallel.threshold} *)
-  xp_measured : float option;  (** measured total cost; [None] when the estimate never cleared the gate *)
-  xp_grains : int option;
-  xp_pool_size : int;  (** pool size the chunk bounds were computed for *)
-  xp_chunks : int;  (** {!Xr_slca.Parallel.auto_chunks} target *)
-  xp_chunk_bounds : int array;  (** driver split points; [[||]] when sequential *)
-  xp_curve : (int * float) array;
-      (** the measured cost curve: (driver index, cumulative modeled cost)
-          per grain boundary *)
-}
-
 type explain_search = {
   x_keywords : explain_keyword list;
       (** in executed order — driver (rarest) first for the scan family *)
   x_missing : string list;  (** normalized keywords absent from the vocabulary *)
   x_algorithm : string;
-  x_kernel : string;  (** ["dead"], ["tiny"], ["scan"], ["stack"], ["parallel"] or ["boxed"] *)
+  x_kernel : string;  (** ["dead"], ["tiny"], ["scan"], ["stack"] or ["boxed"] *)
   x_reason : string;  (** the threshold or condition that fired, spelled out *)
-  x_parallel : explain_parallel option;  (** scan-parallel range plans only *)
 }
 
-(** [explain_search ?config ?pool_size index query] compiles [query]
-    (hitting no cache) and reports the decisions. [pool_size] pins the
-    chunk computation for deterministic output (default: the live
-    global pool's size, 1 if none was ever created). *)
+(** [explain_search ?config index query] compiles [query] (hitting no
+    cache) and reports the decisions. *)
 val explain_search :
   ?config:Xr_refine.Engine.config ->
-  ?pool_size:int ->
   Xr_index.Index.t ->
   string list ->
   explain_search
@@ -132,7 +109,6 @@ type explain_refine = {
 
 val explain_refine :
   ?config:Xr_refine.Engine.config ->
-  ?pool_size:int ->
   Xr_index.Index.t ->
   string list ->
   explain_refine

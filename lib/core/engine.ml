@@ -36,7 +36,7 @@ let default_config =
   {
     k = 3;
     algorithm = Partition;
-    slca = Slca_engine.Scan_parallel;
+    slca = Slca_engine.Scan_packed;
     ranking = Ranking.default_config;
     dp = Optimal_rq.default_config;
     search_for = Xr_slca.Search_for.default_config;

@@ -21,9 +21,9 @@ type config = {
   k : int;  (** how many refined queries to return; default 3 *)
   algorithm : algorithm;  (** default [Partition] (packed scan) *)
   slca : Xr_slca.Engine.algorithm;
-      (** plugged SLCA engine; default scan-parallel (scan-packed
-          chunked over the domain pool, sequential below the
-          {!Xr_slca.Parallel.threshold}). {!search} runs it as given (a
+      (** plugged SLCA engine; default scan-packed (one sequential scan
+          of the packed lists, with the tiny-driver fallback).
+          {!search} runs it as given (a
           list-based engine decodes the packed lists on every call); the
           refinement algorithms promote a list-based choice to its packed
           partner ({!Xr_slca.Engine.packed_partner}), result-identical. *)

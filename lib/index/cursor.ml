@@ -106,30 +106,6 @@ module Packed = struct
 
   let seek_geq c v = seek_geq_sub c v (Array.length v)
 
-  (* Gallop to the first entry >= entry [i] of [src], comparing in
-     encoded form ({!Dewey.Packed.compare_entries}) — chunk cursors of
-     the parallel scan kernel pre-position on split points without
-     decoding anything. *)
-  let seek_geq_entry c src i =
-    let n = c.limit in
-    if c.pos < n && Dewey.Packed.compare_entries c.labels c.pos src i < 0 then begin
-      let lo = ref c.pos and step = ref 1 in
-      let hi = ref (c.pos + 1) in
-      while !hi < n && Dewey.Packed.compare_entries c.labels !hi src i < 0 do
-        lo := !hi;
-        step := !step * 2;
-        hi := !hi + !step
-      done;
-      let h = ref (if !hi < n then !hi else n) in
-      let l = ref (!lo + 1) in
-      while !l < !h do
-        let mid = (!l + !h) lsr 1 in
-        if Dewey.Packed.compare_entries c.labels mid src i < 0 then l := mid + 1 else h := mid
-      done;
-      c.pos <- !l;
-      c.rand <- c.rand + 1
-    end
-
   (* Fused seek-and-probe, the scan kernels' inner step: advance to the
      lower bound of [v.(0..len-1)] and return the deepest common prefix
      of [v] with the two entries bracketing it (-1 when neither side

@@ -80,12 +80,6 @@ module Packed : sig
 
   val seek_geq : t -> Dewey.t -> unit
 
-  (** [seek_geq_entry c src i] moves forward to the first entry [>=]
-      entry [i] of the packed list [src], comparing entirely in encoded
-      form — no label is decoded. Galloping from the current position,
-      one random access when the cursor moves; never moves backward. *)
-  val seek_geq_entry : t -> Dewey.Packed.t -> int -> unit
-
   (** [match_probe c v len] is the scan kernels' fused inner step: seek
       to the first entry [>=] the first [len] components of [v] (as
       {!seek_geq_sub}) and return the deepest common prefix length of

@@ -5,12 +5,9 @@
 
 type stage = { sg_name : string; sg_in : int; sg_out : int }
 
-type chunk = { ck_index : int; ck_modeled : float; ck_measured : float; ck_ns : float }
-
 type report = {
   lock : Mutex.t;
   mutable r_stages : stage list;  (* reverse recording order *)
-  mutable r_chunks : chunk list;  (* reverse recording order *)
   mutable r_task_gc : Runtime.gc_delta;
   mutable r_tasks : int;
 }
@@ -26,7 +23,6 @@ let with_report f =
     {
       lock = Mutex.create ();
       r_stages = [];
-      r_chunks = [];
       r_task_gc = Runtime.zero;
       r_tasks = 0;
     }
@@ -60,14 +56,7 @@ let note_stage ~name ~input ~output =
     Mutex.protect r.lock (fun () ->
         r.r_stages <- { sg_name = name; sg_in = input; sg_out = output } :: r.r_stages)
 
-let note_chunk c =
-  match Domain.DLS.get key with
-  | None -> ()
-  | Some r -> Mutex.protect r.lock (fun () -> r.r_chunks <- c :: r.r_chunks)
-
 let stages r = List.rev r.r_stages
-
-let chunks r = List.rev r.r_chunks
 
 let task_gc r = r.r_task_gc
 

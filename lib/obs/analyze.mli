@@ -1,6 +1,6 @@
 (** The ANALYZE collection channel: an ambient, per-request accumulator
     that execution stages write actuals into — candidates in/out per
-    stage, per-chunk modeled-vs-measured cost, per-pool-task GC deltas.
+    stage and per-pool-task GC deltas.
 
     Cost model, in order of importance: when no report is active (every
     normal request), each [note_*] call is one [Domain.DLS.get] and a
@@ -15,15 +15,6 @@
 
 type stage = { sg_name : string; sg_in : int; sg_out : int }
 (** Candidate counts through one pipeline stage. *)
-
-type chunk = {
-  ck_index : int;
-  ck_modeled : float;  (** this chunk's share of the modeled total cost, 0..1 *)
-  ck_measured : float;  (** its share of the measured wall time, 0..1 *)
-  ck_ns : float;  (** measured wall time, nanoseconds *)
-}
-(** One cost-modeled parallel chunk: what the model predicted vs what
-    the clock said. Drift ratio = [ck_measured /. ck_modeled]. *)
 
 type report
 
@@ -46,14 +37,9 @@ val task : report option -> (unit -> unit) -> unit
 
 val note_stage : name:string -> input:int -> output:int -> unit
 
-val note_chunk : chunk -> unit
-
 (** {1 Reading a finished report} *)
 
 val stages : report -> stage list
-(** In recording order. *)
-
-val chunks : report -> chunk list
 (** In recording order. *)
 
 val task_gc : report -> Runtime.gc_delta

@@ -78,8 +78,8 @@ val default_domains : unit -> int
 
 val global : unit -> t
 (** The lazily created shared pool (sized by {!default_domains}).
-    Created on first use so short-lived CLI runs below the parallel
-    threshold never spawn domains. *)
+    Created on first use, so the CLI and a single-shard server, which
+    never fan out, spawn no domains. *)
 
 val peek_global : unit -> t option
 (** The shared pool if it has been created, without creating it. *)

@@ -169,13 +169,13 @@ let index_footprint (index : Index.t) =
              largest) );
     ]
 
-(* The shared domain pool's counters: fan-out activity (tasks, steals,
-   batches), sequential fallbacks, and the live threshold. The pool is
-   created lazily, so a server that never crossed the threshold reports
-   [created = false] with zero counters. *)
+(* The shared domain pool's counters: scatter-gather activity (tasks,
+   steals, batches). The pool is created lazily, so a server that never
+   fanned out (one serving shard) reports [created = false] with zero
+   counters. *)
 let pool_payload () =
-  let base =
-    match Xr_pool.peek_global () with
+  Json.Obj
+    (match Xr_pool.peek_global () with
     | None -> [ ("created", Json.Bool false); ("domains", Json.Int 0) ]
     | Some p ->
       let c = Xr_pool.counters p in
@@ -186,13 +186,6 @@ let pool_payload () =
         ("steals", Json.Int c.Xr_pool.steals);
         ("batches", Json.Int c.Xr_pool.batches);
         ("queue_depth", Json.Int (Xr_pool.queue_depth p));
-      ]
-  in
-  Json.Obj
-    (base
-    @ [
-        ("fallbacks", Json.Int (Xr_slca.Parallel.fallbacks ()));
-        ("parallel_threshold", Json.Int (Xr_slca.Parallel.threshold ()));
       ])
 
 (* Batched-execution counters: tiny-kernel dispatch, plan-cache
@@ -286,25 +279,10 @@ let explain_payload (x : Xr_batch.Plan.explain_search) =
         ("postings", Json.Int k.P.ek_postings);
       ]
   in
-  let parallel (p : P.explain_parallel) =
-    Json.Obj
-      [
-        ("estimate", Json.Float p.P.xp_estimate);
-        ("threshold", Json.Int p.P.xp_threshold);
-        ( "measured",
-          match p.P.xp_measured with Some c -> Json.Float c | None -> Json.Null );
-        ("grains", match p.P.xp_grains with Some g -> Json.Int g | None -> Json.Null);
-        ("pool_size", Json.Int p.P.xp_pool_size);
-        ("chunks_targeted", Json.Int p.P.xp_chunks);
-        ( "chunk_bounds",
-          Json.List (Array.to_list (Array.map (fun b -> Json.Int b) p.P.xp_chunk_bounds)) );
-        ( "cost_curve",
-          Json.List
-            (Array.to_list
-               (Array.map
-                  (fun (b, c) -> Json.List [ Json.Int b; Json.Float c ])
-                  p.P.xp_curve)) );
-      ]
+  let missing =
+    match x.P.x_missing with
+    | [] -> []
+    | ks -> [ ("missing", Json.List (List.map (fun k -> Json.String k) ks)) ]
   in
   Json.Obj
     ([
@@ -313,10 +291,7 @@ let explain_payload (x : Xr_batch.Plan.explain_search) =
        ("algorithm", Json.String x.P.x_algorithm);
        ("keywords", Json.List (List.map keyword x.P.x_keywords));
      ]
-    @ (match x.P.x_missing with
-      | [] -> []
-      | ks -> [ ("missing", Json.List (List.map (fun k -> Json.String k) ks)) ])
-    @ match x.P.x_parallel with Some p -> [ ("parallel", parallel p) ] | None -> [])
+    @ missing)
 
 let explain_refine_payload (x : Xr_batch.Plan.explain_refine) =
   let module P = Xr_batch.Plan in
@@ -338,8 +313,8 @@ let gc_delta_json (d : Xr_obs.Runtime.gc_delta) =
       ("major_collections", Json.Int d.Xr_obs.Runtime.d_major_collections);
     ]
 
-(* Execution actuals for one ANALYZE render: stage in/out counts and
-   chunk drift from the collection channel, the handler-side GC delta,
+(* Execution actuals for one ANALYZE render: stage in/out counts from
+   the collection channel, the handler-side GC delta,
    the pool tasks' summed GC delta, and the completed child spans of
    the surrounding trace (the root is still open while we render). *)
 let analyze_payload ~ms ~gc ~spans report =
@@ -351,16 +326,6 @@ let analyze_payload ~ms ~gc ~spans report =
         ("stage", Json.String s.A.sg_name);
         ("in", Json.Int s.A.sg_in);
         ("out", Json.Int s.A.sg_out);
-      ]
-  in
-  let chunk (c : A.chunk) =
-    Json.Obj
-      [
-        ("chunk", Json.Int c.A.ck_index);
-        ("modeled_share", Json.Float c.A.ck_modeled);
-        ("measured_share", Json.Float c.A.ck_measured);
-        ("drift_ratio", Json.Float (c.A.ck_measured /. c.A.ck_modeled));
-        ("ms", Json.Float (c.A.ck_ns /. 1e6));
       ]
   in
   let span (sp : Tr.span) =
@@ -375,7 +340,6 @@ let analyze_payload ~ms ~gc ~spans report =
     [
       ("ms", Json.Float ms);
       ("stages", Json.List (List.map stage (A.stages report)));
-      ("chunks", Json.List (List.map chunk (A.chunks report)));
       ("gc", gc_delta_json gc);
       ("pool_tasks", Json.Int (A.tasks report));
       ("pool_tasks_gc", gc_delta_json (A.task_gc report));

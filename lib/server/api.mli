@@ -41,8 +41,7 @@ val suggest_payload :
 val complete_payload : prefix:string -> (string * int) list -> Json.t
 
 (** [pool_payload ()] renders the shared {!Xr_pool} counters (tasks,
-    steals, batches), the sequential-fallback count, and the live
-    parallel threshold — the [/stats] "pool" section. *)
+    steals, batches, queue depth) — the [/stats] "pool" section. *)
 val pool_payload : unit -> Json.t
 
 (** [batch_payload ~enabled ~plan_entries ()] renders the batched
@@ -62,9 +61,8 @@ val trace_payload : (int * Xr_obs.Tracing.span list) list -> Json.t
 
 (** [explain_payload x] renders a compiled-plan explanation as the
     ["explain"] block of a /search (or /refine) response: kernel +
-    reason, algorithm, the keyword lists in executed order with
-    posting counts, and the parallel section
-    (estimate/threshold/measured cost, grain curve, chunk bounds). *)
+    reason, algorithm, and the keyword lists in executed order with
+    posting counts. *)
 val explain_payload : Xr_batch.Plan.explain_search -> Json.t
 
 (** [explain_refine_payload x] is {!explain_payload} plus the
@@ -74,10 +72,9 @@ val explain_refine_payload : Xr_batch.Plan.explain_refine -> Json.t
 val gc_delta_json : Xr_obs.Runtime.gc_delta -> Json.t
 
 (** [analyze_payload ~ms ~gc ~spans report] renders one ANALYZE
-    render's actuals: wall time, per-stage candidates in/out, per-chunk
-    modeled-vs-measured cost shares with drift ratios, the handler-side
-    GC delta, the summed pool-task GC delta, and the completed child
-    spans of the surrounding trace. *)
+    render's actuals: wall time, per-stage candidates in/out, the
+    handler-side GC delta, the summed pool-task GC delta, and the
+    completed child spans of the surrounding trace. *)
 val analyze_payload :
   ms:float ->
   gc:Xr_obs.Runtime.gc_delta ->

@@ -14,7 +14,6 @@ type config = {
   deadline_ms : float;
   keepalive_requests : int;
   result_limit : int;
-  parallel_threshold : int;
   limits : Http.limits;
   log : bool;
   trace : bool;  (* per-request span recording + /debug/trace *)
@@ -37,7 +36,6 @@ let default_config =
     deadline_ms = 5000.;
     keepalive_requests = 1000;
     result_limit = 20;
-    parallel_threshold = Xr_slca.Parallel.default_threshold;
     limits = Http.default_limits;
     log = false;
     trace = true;
@@ -188,6 +186,13 @@ let int_param req name ~default =
     match int_of_string_opt v with
     | Some i -> Ok i
     | None -> Error (bad_request (Printf.sprintf "parameter %s must be an integer" name)))
+
+(* [k] sizes a top-k list; below 1 the answer would be an empty list
+   indistinguishable from a real "nothing found", so it fails closed. *)
+let positive_k req ~default =
+  match int_param req "k" ~default with
+  | Ok k when k < 1 -> Error (bad_request "parameter k must be at least 1")
+  | r -> r
 
 let bool_param req name =
   match Http.query_param req name with
@@ -459,7 +464,7 @@ let handle_search t req =
   let ( let* ) r f = match r with Error resp -> resp | Ok v -> f v in
   let* query = tokenized_query req in
   let alg_name =
-    match Http.query_param req "alg" with Some a -> a | None -> "scan-parallel"
+    match Http.query_param req "alg" with Some a -> a | None -> "scan-packed"
   in
   match Xr_slca.Engine.of_name alg_name with
   | None -> bad_request (Printf.sprintf "unknown SLCA engine %s" alg_name)
@@ -519,9 +524,8 @@ let handle_refine t req =
   match Engine.algorithm_of_name alg_name with
   | None -> bad_request (Printf.sprintf "unknown refinement algorithm %s" alg_name)
   | Some algorithm ->
-    let* k = int_param req "k" ~default:3 in
     (* the refinement top-k lists need room for at least one query *)
-    let* k = if k < 1 then Error (bad_request "parameter k must be at least 1") else Ok k in
+    let* k = positive_k req ~default:3 in
     let* limit = int_param req "limit" ~default:t.config.result_limit in
     let analyze = bool_param req "analyze" in
     let explain_p = bool_param req "explain" || analyze in
@@ -563,7 +567,7 @@ let handle_refine t req =
 let handle_suggest t req =
   let ( let* ) r f = match r with Error resp -> resp | Ok v -> f v in
   let* query = tokenized_query req in
-  let* k = int_param req "k" ~default:5 in
+  let* k = positive_k req ~default:5 in
   let* limit = int_param req "limit" ~default:t.config.result_limit in
   let base_key = Printf.sprintf "suggest|%d|%d|%s" k limit (String.concat " " query) in
   let render_one _cs (gen : Generation.gen) =
@@ -587,7 +591,7 @@ let handle_complete t req =
     let prefix = Xr_xml.Token.normalize raw in
     if prefix = "" then bad_request "prefix has no keyword characters"
     else
-      let* k = int_param req "k" ~default:10 in
+      let* k = positive_k req ~default:10 in
       let base_key = Printf.sprintf "complete|%d|%s" k prefix in
       let render_one cs (_gen : Generation.gen) =
         Api.complete_payload ~prefix
@@ -895,9 +899,6 @@ let start_corpora config specs =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   if config.trace then Xr_obs.Tracing.enable ();
   if specs = [] then invalid_arg "Server.start_corpora: no corpora";
-  (* Request workers submit SLCA subtasks to the shared domain pool;
-     queries below this many driver postings stay sequential. *)
-  Xr_slca.Parallel.set_threshold config.parallel_threshold;
   let listen_fd = bind_socket config.addr in
   let stop_r, stop_w = Unix.pipe () in
   let tref = ref None in

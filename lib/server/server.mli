@@ -42,11 +42,6 @@ type config = {
   deadline_ms : float;  (** per-request time budget; default 5000 *)
   keepalive_requests : int;  (** max requests served per connection; default 1000 *)
   result_limit : int;  (** default cap on rendered result arrays; default 20 *)
-  parallel_threshold : int;
-      (** modeled cost below which an SLCA run, in search or refinement,
-          skips the shared {!Xr_pool} and runs sequentially (applied
-          process-wide via {!Xr_slca.Parallel.set_threshold} at
-          {!start}); default {!Xr_slca.Parallel.default_threshold} *)
   limits : Http.limits;
   log : bool;  (** request log on stderr; default false *)
   trace : bool;

@@ -8,9 +8,8 @@ type algorithm =
   | Multiway
   | Stack_packed
   | Scan_packed
-  | Scan_parallel
 
-let all = [ Stack; Scan_eager; Indexed_lookup; Multiway; Stack_packed; Scan_packed; Scan_parallel ]
+let all = [ Stack; Scan_eager; Indexed_lookup; Multiway; Stack_packed; Scan_packed ]
 
 let name = function
   | Stack -> "stack"
@@ -19,7 +18,6 @@ let name = function
   | Multiway -> "multiway"
   | Stack_packed -> "stack-packed"
   | Scan_packed -> "scan-packed"
-  | Scan_parallel -> "scan-parallel"
 
 let of_name = function
   | "stack" -> Some Stack
@@ -27,18 +25,18 @@ let of_name = function
   | "indexed-lookup" -> Some Indexed_lookup
   | "multiway" -> Some Multiway
   | "stack-packed" -> Some Stack_packed
-  | "scan-packed" -> Some Scan_packed
-  | "scan-parallel" | "parallel" -> Some Scan_parallel
+  (* compatibility names of the deleted chunked kernel, which computed
+     exactly scan-packed's answers *)
+  | "scan-packed" | "scan-parallel" | "parallel" -> Some Scan_packed
   | _ -> None
 
 let is_packed = function
-  | Stack_packed | Scan_packed | Scan_parallel -> true
+  | Stack_packed | Scan_packed -> true
   | Stack | Scan_eager | Indexed_lookup | Multiway -> false
 
 let packed_partner = function
   | Stack | Stack_packed -> Stack_packed
   | Scan_eager | Indexed_lookup | Multiway | Scan_packed -> Scan_packed
-  | Scan_parallel -> Scan_parallel
 
 let pack_list (l : Inverted.posting array) =
   Dewey.Packed.of_array (Array.map (fun p -> p.Inverted.dewey) l)
@@ -57,13 +55,11 @@ let compute_raw alg lists =
   | Multiway -> Multiway.compute lists
   | Stack_packed -> Stack_packed.compute (List.map pack_list lists)
   | Scan_packed -> Scan_packed.compute (List.map pack_list lists)
-  | Scan_parallel -> Parallel.compute (List.map pack_list lists)
 
 let compute_packed_raw alg lists =
   match alg with
   | Stack_packed -> Stack_packed.compute lists
   | Scan_packed -> Scan_packed.compute lists
-  | Scan_parallel -> Parallel.compute lists
   | Stack | Scan_eager | Indexed_lookup | Multiway ->
     compute_raw alg (List.map unpack_list lists)
 
@@ -84,7 +80,6 @@ let compute_ranges alg ranges =
       match alg with
       | Stack_packed -> Stack_packed.compute_ranges ranges
       | Scan_packed -> Scan_packed.compute_ranges ranges
-      | Scan_parallel -> Parallel.compute_ranges ranges
       | Stack | Scan_eager | Indexed_lookup | Multiway ->
         compute_raw alg (List.map unpack_range ranges))
 

@@ -10,16 +10,14 @@ type algorithm =
   | Multiway  (** Multiway-SLCA, anchor-based *)
   | Stack_packed  (** {!Stack} over packed lists, allocation-free merge *)
   | Scan_packed  (** {!Scan_eager} over packed lists, allocation-free probes *)
-  | Scan_parallel
-      (** {!Scan_packed} chunked over the {!Xr_pool} domain pool; falls
-          back to the sequential kernel below {!Parallel.threshold}.
-          Byte-identical output to {!Scan_packed}. *)
 
 val all : algorithm list
 
 val name : algorithm -> string
 
-(** [of_name s] inverts {!name}. *)
+(** [of_name s] inverts {!name}. It also accepts [scan-parallel] and
+    [parallel], compatibility names of a deleted chunked kernel whose
+    answers were {!Scan_packed}'s, and maps both to {!Scan_packed}. *)
 val of_name : string -> algorithm option
 
 (** [is_packed alg] is true for the kernels that consume packed lists

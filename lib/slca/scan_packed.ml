@@ -2,8 +2,8 @@ open Xr_xml
 module P = Dewey.Packed
 module PC = Xr_index.Cursor.Packed
 
-(* Cursor probe totals, folded into the registry once per chunk scan
-   (two shard-cell adds per [scan_chunk] — invisible next to the scan
+(* Cursor probe totals, folded into the registry once per scan (two
+   shard-cell adds per [scan_chunk] — invisible next to the scan
    itself, unlike counting per probe would be). *)
 let probes_fam =
   Xr_obs.Registry.Counter.family ~name:"xr_cursor_probes_total"
@@ -25,24 +25,11 @@ let rand_probes_h = Xr_obs.Registry.Counter.handle probes_fam [ "random" ]
    This replaces the sort-based [Slca_common.prune_non_smallest] pass and
    only ever materializes actual results.
 
-   [scan_chunk] runs that loop over one sub-interval of the driver
-   range; the sequential algorithm is the single-chunk case, and the
-   parallel kernel ({!Parallel}) scans disjoint chunks concurrently and
-   replays the same prune over the concatenated survivor streams. The
-   survivors of a chunk are its emitted results plus the held candidate
-   sealed at chunk end, in candidate order — exactly the prefix of the
-   candidate stream that the remaining entries can still interact
-   with. *)
-let scan_chunk ?(preseek = false) ~driver:(driver, dlo, dhi) ~others () =
+   [scan_chunk] runs that loop over the driver entries [dlo..dhi-1];
+   the sequential algorithm is the whole-range case. *)
+let scan_chunk ~driver:(driver, dlo, dhi) ~others () =
   let cursors = Array.of_list (List.map (fun (l, lo, hi) -> PC.make_sub l ~lo ~hi) others) in
   let ncur = Array.length cursors in
-  (* Pre-position every cursor on the chunk's first driver entry in
-     encoded form, so a chunk deep inside the driver range starts its
-     probes near the data instead of galloping in from the range base.
-     Purely positional — the first probe would land the cursor in the
-     same place — so the leading chunk (and the sequential single-chunk
-     case) skips it rather than pay the seek twice. *)
-  if preseek && dlo < dhi then Array.iter (fun c -> PC.seek_geq_entry c driver dlo) cursors;
   let maxd =
     List.fold_left (fun acc (l, _, _) -> max acc (P.max_depth l)) (P.max_depth driver) others
   in
@@ -94,9 +81,8 @@ let scan_chunk ?(preseek = false) ~driver:(driver, dlo, dhi) ~others () =
   Xr_obs.Registry.Counter.add rand_probes_h !rand;
   List.rev !results
 
-(* Driver selection shared with the parallel kernel: rarest list first
-   (stable on ties, so chunked and sequential runs pick the same
-   driver). *)
+(* Driver selection: rarest list first (stable on ties, so the plan
+   compiler's pre-sorted ranges are a fixpoint). *)
 let sort_by_length lists =
   List.stable_sort
     (fun (_, alo, ahi) (_, blo, bhi) -> Int.compare (ahi - alo) (bhi - blo))

@@ -21,31 +21,23 @@ val compute : Dewey.Packed.t list -> Dewey.t list
     without copying anything. An empty range yields []. *)
 val compute_ranges : (Dewey.Packed.t * int * int) list -> Dewey.t list
 
-(** [scan_chunk ~driver:(l, dlo, dhi) ~others] runs the scan kernel over
-    the driver entries [dlo..dhi-1] only, probing [others] over their
-    full attached ranges, and returns the chunk's surviving candidates
-    in candidate order — the emitted results plus the held candidate
-    sealed at chunk end. For the whole driver range this is exactly
-    {!compute_ranges}; over a partition of the range it is the parallel
-    kernel's per-chunk step, whose outputs {!Parallel} merges by
-    replaying the same online prune across chunk boundaries. Assumes
-    every range is well-formed; performs no driver selection.
-
-    [preseek] (default false) pre-positions the partner cursors on the
-    chunk's first driver entry before scanning — purely positional (the
-    first probe lands the cursor in the same place), so results never
-    depend on it; interior parallel chunks set it to start probing near
-    their data instead of galloping in from the range base. *)
+(** [scan_chunk ~driver:(l, dlo, dhi) ~others] runs the general
+    (cursor) scan kernel over the driver entries [dlo..dhi-1], probing
+    [others] over their full attached ranges, and returns the surviving
+    candidates in candidate order — the emitted results plus the held
+    candidate sealed at the end. For the whole driver range this is
+    {!compute_ranges} without the tiny-driver dispatch; the
+    differential tests use it as {!scan_tiny}'s reference. Assumes
+    every range is well-formed; performs no driver selection. *)
 val scan_chunk :
-  ?preseek:bool ->
   driver:(Dewey.Packed.t * int * int) ->
   others:(Dewey.Packed.t * int * int) list ->
   unit ->
   Dewey.t list
 
 (** [sort_by_length lists] orders [lists] by ascending range length,
-    stably — the driver-selection rule shared by the sequential and
-    parallel kernels (head = driver). *)
+    stably — the kernel's driver-selection rule (head = driver), which
+    the plan compiler applies once at compile time. *)
 val sort_by_length :
   (Dewey.Packed.t * int * int) list -> (Dewey.Packed.t * int * int) list
 

@@ -4,8 +4,8 @@
 # the text exposition with a small parser — content type, line grammar
 # (including the trace-id exemplar suffix on histogram buckets),
 # TYPE-before-samples ordering, histogram bucket monotonicity, and the
-# presence of the core xr_* families (request, cache, pool, GC, and
-# cost-model-drift), and that the scraped xr_* families match the
+# presence of the core xr_* families (request, cache, pool and GC),
+# and that the scraped xr_* families match the
 # metric tables of doc/OBSERVABILITY.md both ways: every family in the
 # scrape has a row, and every row names a family in the scrape. Also
 # asserts /metrics.json still parses as JSON with an application/json
@@ -200,7 +200,6 @@ required = [
     "xr_gc_minor_words_total",
     "xr_gc_promoted_words_total",
     "xr_gc_allocated_words_total",
-    "xr_cost_model_drift_ratio",
 ]
 for fam in required:
     if fam not in types:

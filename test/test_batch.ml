@@ -1,5 +1,5 @@
 (* Batched execution: the tiny-driver kernel against the general scan,
-   concurrent chunked queries over shared lists against one-at-a-time
+   concurrent pool-task queries over shared lists against one-at-a-time
    scans, compiled plans against the uncompiled engine (byte-compared
    through the served payloads), plan-cache hit/eviction/single-flight
    behaviour and its generation-keyed invalidation across an ingest
@@ -82,19 +82,17 @@ let arb_shared_batch =
     gen
 
 let prop_concurrent_shared_eq_solo =
-  QCheck.Test.make ~name:"concurrent chunked scans = solo" ~count:200
+  QCheck.Test.make ~name:"concurrent pool-task scans = solo" ~count:200
     arb_shared_batch (fun batch ->
       let queries = List.map (List.map (fun pk -> (pk, 0, P.length pk))) batch in
       let solo = List.map Scan_packed.compute_ranges queries in
-      let pool = Lazy.force shared_pool in
-      (* every query is its own pool task and forks its own chunks into
-         the same pool (nested run), so scans of one list overlap *)
+      (* every query is its own task on one 4-domain pool, so scans of
+         one physical list overlap across domains *)
       let results = Array.make (List.length queries) [] in
-      Xr_pool.run pool
+      Xr_pool.run (Lazy.force shared_pool)
         (Array.of_list
            (List.mapi
-              (fun i q () ->
-                results.(i) <- Xr_slca.Parallel.compute_ranges ~pool ~chunks:(2 + (i mod 3)) q)
+              (fun i q () -> results.(i) <- Scan_packed.compute_ranges q)
               queries));
       List.equal (List.equal Dewey.equal) solo (Array.to_list results))
 
@@ -142,7 +140,6 @@ let test_plan_search_eq_engine () =
               [ k1; k2 ]; [ k1 ]; [ k2; k1; k2 ]; [ "zzznope" ]; [ k1; "zzznope" ]; [];
             ])
         [
-          Slca_engine.Scan_parallel;
           Slca_engine.Scan_packed;
           Slca_engine.Stack_packed;
           Slca_engine.Scan_eager;

@@ -2,8 +2,7 @@
    corpus (the `--explain-plan` contract — regenerate with
    XR_EXPLAIN_PRINT=1), byte-identity of ANALYZE runs against normal
    execution at pool sizes 1 and 4, the report's actual contents
-   (stages, cost-model chunks, pool-task GC folding), runtime GC deltas,
-   and exemplar capture/exposition. *)
+   (stages), runtime GC deltas, and exemplar capture/exposition. *)
 
 module Index = Xr_index.Index
 module Inverted = Xr_index.Inverted
@@ -14,8 +13,6 @@ module Analyze = Xr_obs.Analyze
 module Runtime = Xr_obs.Runtime
 module Registry = Xr_obs.Registry
 module Engine = Xr_refine.Engine
-module Parallel = Xr_slca.Parallel
-module P = Xr_xml.Dewey.Packed
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -53,40 +50,35 @@ let frequent_pair (index : Index.t) =
 
 (* ---- golden explain text -------------------------------------------------- *)
 
-(* Expected `--explain-plan` text per corpus for the frequent
-   pair, with the chunk computation pinned to a pool of 2 so the output
-   does not depend on the host's core count. *)
+(* Expected `--explain-plan` text per corpus for the frequent pair. *)
 let golden =
   [
     ( "figure1",
-      "plan: tiny kernel (algorithm scan-parallel)\n\
+      "plan: tiny kernel (algorithm scan-packed)\n\
       \  reason: driver range 6 <= tiny threshold 24: cursor-free tiny kernel\n\
       \  lists: title                id=7      postings=6\n\
       \         year                 id=12     postings=6\n" );
     ( "baseball",
-      "plan: scan kernel (algorithm scan-parallel)\n\
-      \  reason: estimated cost 1706 below parallel threshold 4096: sequential scan\n\
+      "plan: scan kernel (algorithm scan-packed)\n\
+      \  reason: sequential scan-packed kernel over 2 packed range(s)\n\
       \  lists: name                 id=4      postings=578\n\
-      \         runs                 id=25     postings=1080\n\
-      \  parallel: estimate=1706 threshold=4096 measured=- pool=2\n" );
+      \         runs                 id=25     postings=1080\n" );
     ( "auction",
-      "plan: scan kernel (algorithm scan-parallel)\n\
-      \  reason: estimated cost 439 below parallel threshold 4096: sequential scan\n\
+      "plan: scan kernel (algorithm scan-packed)\n\
+      \  reason: sequential scan-packed kernel over 2 packed range(s)\n\
       \  lists: interest             id=488    postings=161\n\
-      \         name                 id=5      postings=212\n\
-      \  parallel: estimate=439 threshold=4096 measured=- pool=2\n" );
+      \         name                 id=5      postings=212\n" );
     ( "dblp",
-      "plan: scan kernel (algorithm scan-parallel)\n\
-      \  reason: estimated cost 903 below parallel threshold 4096: sequential scan\n\
+      "plan: scan kernel (algorithm scan-packed)\n\
+      \  reason: sequential scan-packed kernel over 2 packed range(s)\n\
       \  lists: title                id=9      postings=300\n\
-      \         author               id=2      postings=607\n\
-      \  parallel: estimate=903 threshold=4096 measured=- pool=2\n" );
+      \         author               id=2      postings=607\n" );
   ]
 
 let test_golden (name, expected) () =
   let index = Index.build (doc_of name) in
   let query = frequent_pair index in
-  let x = Plan.explain_search ~pool_size:2 index query in
+  let x = Plan.explain_search index query in
   let text = Explain.search_to_text x in
   if Sys.getenv_opt "XR_EXPLAIN_PRINT" = Some "1" then
     Printf.printf "=== %s ===\n%s" name text
@@ -108,9 +100,9 @@ let test_refine_explain () =
 (* ---- ANALYZE byte identity ------------------------------------------------ *)
 
 (* ANALYZE must observe, never perturb: the same query returns
-   byte-identical results with and without a report ambient, at pool
-   size 1 (all-sequential) and 4 (parallel chunking under a forced-zero
-   threshold). Queries are random keyword subsets of the dblp corpus. *)
+   byte-identical results with and without a report ambient, with the
+   shared pool at size 1 and 4. Queries are random keyword subsets of
+   the dblp corpus. *)
 let prop_analyze_identity domains =
   let index = Index.build (doc_of "dblp") in
   let keywords =
@@ -133,14 +125,10 @@ let prop_analyze_identity domains =
     ~count:30
     (QCheck.make gen ~print:(String.concat " "))
     (fun query ->
-      let old_threshold = Parallel.threshold () in
       Xr_pool.reset_global ~domains ();
       Fun.protect
-        ~finally:(fun () ->
-          Parallel.set_threshold old_threshold;
-          Xr_pool.reset_global ~domains:1 ())
+        ~finally:(fun () -> Xr_pool.reset_global ~domains:1 ())
         (fun () ->
-          Parallel.set_threshold 0;
           let render slcas =
             String.concat ";" (List.map Xr_xml.Dewey.to_string slcas)
           in
@@ -166,39 +154,6 @@ let test_report_stages () =
     stages;
   (* The channel uninstalls on exit: notes after the report are dropped. *)
   check Alcotest.bool "inactive after with_report" false (Analyze.active ())
-
-(* Cost-modeled parallel chunks land in the ambient report, with
-   modeled and measured shares that each sum to ~1 and positive wall
-   times; the drift histogram gains one observation per chunk. *)
-let test_report_chunks () =
-  let old_threshold = Parallel.threshold () in
-  Xr_pool.reset_global ~domains:4 ();
-  Fun.protect
-    ~finally:(fun () ->
-      Parallel.set_threshold old_threshold;
-      Xr_pool.reset_global ~domains:1 ())
-    (fun () ->
-      Parallel.set_threshold 0;
-      let list_a = List.init 1024 (fun i -> [| 1; i |]) in
-      let list_b = List.init 1024 (fun i -> [| 1; i; 0 |]) in
-      let pks = List.map P.of_list [ list_a; list_b ] in
-      let sequential = Xr_slca.Scan_packed.compute pks in
-      let result, report = Analyze.with_report (fun () -> Parallel.compute pks) in
-      check Alcotest.bool "parallel = sequential" true
-        (List.equal Xr_xml.Dewey.equal result sequential);
-      let chunks = Analyze.chunks report in
-      check Alcotest.bool "at least two chunks" true (List.length chunks >= 2);
-      let sum f = List.fold_left (fun acc c -> acc +. f c) 0. chunks in
-      let close a b = Float.abs (a -. b) < 1e-6 in
-      check Alcotest.bool "modeled shares sum to 1" true
-        (close (sum (fun (c : Analyze.chunk) -> c.Analyze.ck_modeled)) 1.);
-      check Alcotest.bool "measured shares sum to 1" true
-        (close (sum (fun (c : Analyze.chunk) -> c.Analyze.ck_measured)) 1.);
-      List.iter
-        (fun (c : Analyze.chunk) ->
-          check Alcotest.bool "chunk wall time positive" true (c.Analyze.ck_ns > 0.))
-        chunks;
-      check Alcotest.bool "pool tasks counted" true (Analyze.tasks report > 0))
 
 (* ---- runtime GC deltas ---------------------------------------------------- *)
 
@@ -302,7 +257,6 @@ let () =
           qcheck (prop_analyze_identity 1);
           qcheck (prop_analyze_identity 4);
           Alcotest.test_case "report stages" `Quick test_report_stages;
-          Alcotest.test_case "report chunks + drift" `Quick test_report_chunks;
         ] );
       ( "runtime",
         [

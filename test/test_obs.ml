@@ -2,12 +2,12 @@
    ordering, histogram cumulativity), registry semantics (idempotent
    registration, shard aggregation = single-shard totals under
    multi-domain updates), and span-tree well-formedness for traced
-   parallel queries at pool sizes 1 and 4. *)
+   queries submitted as pool tasks at pool sizes 1 and 4. *)
 
 module Registry = Xr_obs.Registry
 module Expo = Xr_obs.Expo
 module Tracing = Xr_obs.Tracing
-module Parallel = Xr_slca.Parallel
+module Slca_engine = Xr_slca.Engine
 module P = Xr_xml.Dewey.Packed
 
 let check = Alcotest.check
@@ -194,29 +194,35 @@ let prop_shard_aggregation =
 (* ---- span trees under pool sizes 1 and 4 ---------------------------------- *)
 
 let well_formed_spans domains () =
-  let old_threshold = Parallel.threshold () in
   Tracing.enable ();
   Tracing.clear ();
   Xr_pool.reset_global ~domains ();
   Fun.protect
     ~finally:(fun () ->
-      Parallel.set_threshold old_threshold;
       Tracing.disable ();
       Xr_pool.reset_global ~domains:1 ())
     (fun () ->
-      Parallel.set_threshold 0;
-      (* Both lists are long: the shortest list becomes the driver, and
-         the driver range is what gets chunked over the pool. *)
       let list_a = List.init 512 (fun i -> [| 1; i |]) in
       let list_b = List.init 512 (fun i -> [| 1; i; 0 |]) in
       let pks = List.map P.of_list [ list_a; list_b ] in
       let sequential = Xr_slca.Scan_packed.compute pks in
-      let result, tid =
-        Tracing.with_trace "query" (fun () ->
-            Tracing.with_span "slca.scan" (fun () -> Parallel.compute ~chunks:8 pks))
+      (* Eight traced scans submitted as one pool batch, the shape of
+         the multi-shard scatter: the trace context is captured at
+         submit and re-installed on whichever domain runs each task. *)
+      let ntasks = 8 in
+      let results = Array.make ntasks [] in
+      let scan i () =
+        results.(i) <- Slca_engine.compute_packed Slca_engine.Scan_packed pks
       in
-      check Alcotest.bool "traced result = sequential" true
-        (List.equal Xr_xml.Dewey.equal result sequential);
+      let (), tid =
+        Tracing.with_trace "query" (fun () ->
+            Xr_pool.run (Xr_pool.global ()) (Array.init ntasks scan))
+      in
+      Array.iter
+        (fun result ->
+          check Alcotest.bool "traced result = sequential" true
+            (List.equal Xr_xml.Dewey.equal result sequential))
+        results;
       check Alcotest.bool "trace id assigned" true (tid > 0);
       let spans = Tracing.spans_of_trace tid in
       check Alcotest.bool "spans recorded" true (List.length spans >= 1);
@@ -252,13 +258,14 @@ let well_formed_spans domains () =
       check Alcotest.int "one tree" 1 (List.length forest);
       check Alcotest.int "tree spans all spans" (List.length spans)
         (count (List.hd forest));
-      if domains >= 2 then begin
-        (* Fan-out really happened: pool.task spans from worker domains
-           attach to this trace, and the parallel merge is accounted. *)
-        let names = List.map (fun (s : Tracing.span) -> s.Tracing.name) spans in
-        check Alcotest.bool "pool.task spans present" true (List.mem "pool.task" names);
-        check Alcotest.bool "slca.merge span present" true (List.mem "slca.merge" names)
-      end;
+      let named n =
+        List.length (List.filter (fun (s : Tracing.span) -> s.Tracing.name = n) spans)
+      in
+      check Alcotest.int "every task's scan attached" ntasks (named "slca.scan");
+      (* Fan-out really happened: each task ran under a pool.task span,
+         wherever it was stolen to, inside this trace. *)
+      if domains >= 2 then
+        check Alcotest.int "pool.task spans" ntasks (named "pool.task");
       (* The rendered tree carries the stage-coverage summary line. *)
       let rendered = Tracing.render_tree spans in
       check Alcotest.bool "render has summary" true (contains rendered "ms total"))

@@ -510,6 +510,38 @@ let test_e2e_refine_k () =
       let status, _, _ = get_closing port "/refine?q=databse+xml&k=1" in
       check Alcotest.int "k=1 status" 200 status)
 
+(* [k] sizes the /suggest and /complete lists as it does /refine's: an
+   empty list for k below 1 would read as a real "nothing found", so
+   both endpoints reject it with /refine's error. *)
+let test_e2e_top_k_below_one endpoint =
+  let config =
+    { Server.default_config with Server.addr = Server.Tcp ("127.0.0.1", 0); domains = 1; log = false }
+  in
+  with_server config (fun _server port ->
+      List.iter
+        (fun k ->
+          let status, _, body = get_closing port (endpoint ^ "&k=" ^ k) in
+          check Alcotest.int ("k=" ^ k ^ " status") 400 status;
+          check Alcotest.string ("k=" ^ k ^ " body")
+            "{\"error\":\"parameter k must be at least 1\"}\n" body)
+        [ "0"; "-1" ];
+      let status, _, _ = get_closing port (endpoint ^ "&k=1") in
+      check Alcotest.int "k=1 status" 200 status)
+
+(* [scan-parallel] names the deleted chunked kernel; it stays accepted
+   and answers exactly what scan-packed answers. *)
+let test_e2e_scan_parallel_alias () =
+  let config =
+    { Server.default_config with Server.addr = Server.Tcp ("127.0.0.1", 0); domains = 1; log = false }
+  in
+  with_server config (fun _server port ->
+      let fetch alg =
+        let status, _, body = get_closing port ("/search?q=database+title&alg=" ^ alg) in
+        check Alcotest.int (alg ^ " status") 200 status;
+        body
+      in
+      check Alcotest.string "same body" (fetch "scan-packed") (fetch "scan-parallel"))
+
 (* ---- explain / analyze / trace lookup --------------------------------------- *)
 
 let test_e2e_introspection () =
@@ -706,6 +738,12 @@ let () =
           Alcotest.test_case "keep-alive and 405" `Quick test_e2e_keepalive_and_405;
           Alcotest.test_case "malformed request over socket" `Quick test_e2e_malformed_gets_400;
           Alcotest.test_case "refine k below 1 is a 400" `Quick test_e2e_refine_k;
+          Alcotest.test_case "suggest k below 1 is a 400" `Quick
+            (fun () -> test_e2e_top_k_below_one "/suggest?q=database");
+          Alcotest.test_case "complete k below 1 is a 400" `Quick
+            (fun () -> test_e2e_top_k_below_one "/complete?prefix=da");
+          Alcotest.test_case "alg=scan-parallel = scan-packed" `Quick
+            test_e2e_scan_parallel_alias;
           Alcotest.test_case "explain/analyze/trace lookup" `Quick test_e2e_introspection;
           Alcotest.test_case "slow-query corpora field" `Quick test_slowlog_corpora;
         ] );
