@@ -14,15 +14,12 @@ let partition_roots (doc : Doc.t) =
   List.mapi (fun i _ -> [| i |]) (Tree.element_children doc.tree)
 
 (* KS lists the query's own keywords first, so original-query availability
-   is a direct range probe — no keyword-name lookups in the scan loop. *)
-let q_available (c : Refine_common.t) ranges =
-  let rec go i =
-    i >= c.q_size
-    ||
-    let lo, hi = ranges.(i) in
-    hi > lo && go (i + 1)
-  in
-  go 0
+   is a direct probe of the partition's entry bounds — no keyword-name
+   lookups in the scan loop, and (top level) no closure. *)
+let rec q_available (c : Refine_common.t) lo hi i =
+  i >= c.q_size || (hi.(i) > lo.(i) && q_available c lo hi (i + 1))
+
+let ranges_of lo hi = Array.init (Array.length lo) (fun j -> (lo.(j), hi.(j)))
 
 (* Walk a partition's cost-sorted candidate list, admitting refined
    queries that witness a meaningful SLCA here (the Definition 3.4 gate).
@@ -32,40 +29,34 @@ let q_available (c : Refine_common.t) ranges =
    admission probe per partition. *)
 let process_candidates ~try_original ~q_found ~rqlist ~slca_runs ~skipped ~slca_of
     (cset : Refine_common.cand_set) ranges =
-  if cset.pure_rev = Rq_list.revision rqlist then
-    (* the previous walk of this list at this revision touched nothing
-       range-dependent, so its only effect was the skip count *)
-    incr skipped
-  else begin
-    let any_slca = ref false in
-    let impure = ref false in
-    let rec go = function
-      | [] -> ()
-      | (rq, key) :: rest ->
-        if Refined_query.is_original rq then begin
+  let any_slca = ref false in
+  let impure = ref false in
+  let rec go = function
+    | [] -> ()
+    | (rq, key) :: rest ->
+      if Refined_query.is_original rq then begin
+        impure := true;
+        try_original ();
+        go rest
+      end
+      else if !q_found then ()
+      else if not (Rq_list.would_admit rqlist rq.Refined_query.dissimilarity) then ()
+      else begin
+        (* candidates already validated need no further work here: their
+           complete result sets are materialized once, at the end *)
+        if not (Rq_list.mem_key rqlist key) then begin
           impure := true;
-          try_original ranges;
-          go rest
-        end
-        else if !q_found then ()
-        else if not (Rq_list.would_admit rqlist rq.Refined_query.dissimilarity) then ()
-        else begin
-          (* candidates already validated need no further work here: their
-             complete result sets are materialized once, at the end *)
-          if not (Rq_list.mem_key rqlist key) then begin
-            impure := true;
-            incr slca_runs;
-            any_slca := true;
-            if slca_of ranges rq.Refined_query.keywords <> [] then
-              ignore (Rq_list.insert rqlist rq)
-          end;
-          go rest
-        end
-    in
-    go cset.cands;
-    if not !any_slca then incr skipped;
-    if not !impure then cset.pure_rev <- Rq_list.revision rqlist
-  end
+          incr slca_runs;
+          any_slca := true;
+          if slca_of ranges rq.Refined_query.keywords <> [] then
+            ignore (Rq_list.insert rqlist rq)
+        end;
+        go rest
+      end
+  in
+  go cset.cands;
+  if not !any_slca then incr skipped;
+  if not !impure then cset.pure_rev <- Rq_list.revision rqlist
 
 (* Packed scan: the per-list cursors gallop over the packed lists
    ({!Xr_index.Cursor.Packed}); heads are compared and the partition
@@ -106,13 +97,16 @@ let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
     done;
     !best
   in
-  let try_original ranges =
+  (* the walk records each partition's entry bounds here, and builds
+     range tuples only for a partition that does work *)
+  let lo = Array.make m 0 and hi = Array.make m 0 in
+  let try_original () =
     (* Does the original query match meaningfully inside this partition? *)
-    if q_available c ranges then begin
+    if q_available c lo hi 0 then begin
       incr slca_runs;
       let slcas =
         Refine_common.meaningful_slcas_ranges c slca
-          (Refine_common.packed_sublists c ranges q_keywords)
+          (Refine_common.packed_sublists c (ranges_of lo hi) q_keywords)
       in
       if slcas <> [] then begin
         q_found := true;
@@ -120,6 +114,7 @@ let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
       end
     end
   in
+  let present j = hi.(j) > lo.(j) in
   let candidates_for = Refine_common.make_candidates_for c ~k ~dp_runs in
   let slca_of ranges keywords =
     Refine_common.meaningful_slcas_ranges c slca
@@ -150,27 +145,30 @@ let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
            present lists seek — a gallop to the next partition root, which
            lands just past this partition's postings. *)
         next_root.(0) <- pid + 1;
-        let ranges =
-          Array.mapi
-            (fun j pk ->
-              let cur = cursors.(j) in
-              let start = PC.position cur in
-              if (not (PC.at_end cur)) && P.first_component pk start = pid then begin
-                PC.seek_geq_sub cur next_root 1;
-                (start, PC.position cur)
-              end
-              else (start, start))
-            c.packed
-        in
+        for j = 0 to m - 1 do
+          let cur = cursors.(j) in
+          let start = PC.position cur in
+          lo.(j) <- start;
+          if (not (PC.at_end cur)) && P.first_component c.packed.(j) start = pid then
+            PC.seek_geq_sub cur next_root 1;
+          hi.(j) <- PC.position cur
+        done;
         incr visited;
         (* the cost-0 candidate (the query itself) comes first: if it
            matches meaningfully here, no refinement work is needed at all *)
-        if q_available c ranges then
-          try_original ranges;
-        if not !q_found then
+        try_original ();
+        if not !q_found then begin
           (* Definition 3.4 gate over the partition's candidates *)
-          process_candidates ~try_original ~q_found ~rqlist ~slca_runs ~skipped ~slca_of
-            (candidates_for ranges) ranges;
+          let cset = candidates_for present in
+          if cset.pure_rev = Rq_list.revision rqlist then
+            (* the previous walk of this list at this revision touched
+               nothing range-dependent, so its only effect was the skip
+               count: the common case, and it builds no ranges *)
+            incr skipped
+          else
+            process_candidates ~try_original ~q_found ~rqlist ~slca_runs ~skipped ~slca_of
+              cset (ranges_of lo hi)
+        end;
         scan ()
       end
   in

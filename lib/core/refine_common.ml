@@ -74,16 +74,6 @@ let keyword_length t k =
   in
   find 0
 
-let available_in t ranges k =
-  let rec find i =
-    if i >= Array.length t.ks then false
-    else if String.equal t.ks.(i) k then
-      let lo, hi = ranges.(i) in
-      hi > lo
-    else find (i + 1)
-  in
-  find 0
-
 let index_of t k =
   let rec find i =
     if i >= Array.length t.ks then None
@@ -116,15 +106,11 @@ let meaningful_slcas_ranges t alg ranges =
 (* The DP depends only on which KS keywords are present in a partition;
    partitions sharing that signature share their candidate list, so one
    DP run serves them all. The signature is a presence bitmask — KS is
-   far smaller than a word in any realistic query. *)
-let signature ranges =
-  let rec go j acc =
-    if j >= Array.length ranges then acc
-    else
-      let lo, hi = ranges.(j) in
-      go (j + 1) (if hi > lo then acc lor (1 lsl j) else acc)
-  in
-  go 0 0
+   far smaller than a word in any realistic query. Top level, so that it
+   allocates no closure. *)
+let rec signature present j acc =
+  if j < 0 then acc
+  else signature present (j - 1) (if present j then acc lor (1 lsl j) else acc)
 
 type cand_set = {
   cands : (Refined_query.t * string) list;
@@ -134,26 +120,28 @@ type cand_set = {
 let make_candidates_for t ~k ~dp_runs =
   let dp_cache : (int, cand_set) Hashtbl.t = Hashtbl.create 16 in
   let cacheable = Array.length t.ks <= 62 (* bitmask must not overflow *) in
-  let compute ranges =
+  let compute present =
     incr dp_runs;
+    let available kw = match index_of t kw with Some j -> present j | None -> false in
     let cs =
       (* over-fetch: the beam already holds the states, and candidates
          beyond the 2K cheapest matter when the cheap ones lack
          meaningful SLCAs in this partition *)
-      Optimal_rq.top_k ~config:t.dp_config ~rules:t.rules
-        ~available:(available_in t ranges)
+      Optimal_rq.top_k ~config:t.dp_config ~rules:t.rules ~available
         ~k:(max (2 * k) t.dp_config.Optimal_rq.beam)
         t.query
     in
     { cands = List.map (fun rq -> (rq, Refined_query.key rq)) cs; pure_rev = -1 }
   in
-  fun ranges ->
-    if not cacheable then compute ranges
+  fun present ->
+    if not cacheable then compute present
     else
-      let key = signature ranges in
-      match Hashtbl.find_opt dp_cache key with
-      | Some cs -> cs
-      | None ->
-        let cs = compute ranges in
+      let key = signature present (Array.length t.ks - 1) 0 in
+      (* [find] raising the constant [Not_found], not [find_opt]: a hit,
+         the common case, then allocates nothing *)
+      match Hashtbl.find dp_cache key with
+      | cs -> cs
+      | exception Not_found ->
+        let cs = compute present in
         Hashtbl.add dp_cache key cs;
         cs

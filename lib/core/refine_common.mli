@@ -59,10 +59,11 @@ type cand_set = {
 }
 
 (** [make_candidates_for t ~k ~dp_runs] is the per-partition candidate
-    source of Algorithms 2 and 3: given a partition's per-KS-position
-    entry ranges, the [max (2 * k) beam] cheapest refined queries over
-    the keywords present there, cost-sorted. Partitions with the same
-    keyword-presence signature share one DP run; [dp_runs] counts the
-    runs. *)
-val make_candidates_for :
-  t -> k:int -> dp_runs:int ref -> (int * int) array -> cand_set
+    source of Algorithms 2 and 3: given a partition's presence test
+    ([present j] holds iff KS position [j] occurs there), the
+    [max (2 * k) beam] cheapest refined queries over the keywords
+    present there, cost-sorted. Partitions with the same keyword-presence signature
+    share one DP run; [dp_runs] counts the runs. A KS wider than 62
+    keywords does not fit the signature's bitmask: every call then runs
+    the DP. *)
+val make_candidates_for : t -> k:int -> dp_runs:int ref -> (int -> bool) -> cand_set

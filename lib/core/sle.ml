@@ -97,7 +97,11 @@ let run ?(ranking = Ranking.default_config) ?(slca = Slca_engine.Scan_packed) ~k
            monotone in dissimilarity, so the first rejection ends the
            walk — nothing cheaper can follow; an effect-free walk is
            remembered and skipped while the list's revision holds. *)
-        let cset = candidates_for ranges in
+        let cset =
+          candidates_for (fun j ->
+              let lo, hi = ranges.(j) in
+              hi > lo)
+        in
         if cset.pure_rev <> Rq_list.revision rqlist then begin
           let impure = ref false in
           let rec go = function

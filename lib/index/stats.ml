@@ -156,52 +156,46 @@ let distinct_keywords t path =
 let node_count t path =
   if path >= 0 && path < Array.length t.nodes_per_path then t.nodes_per_path.(path) else 0
 
-(* Distinct T-ancestor labels shared by the posting lists of k1 and k2:
-   truncate both lists to the Dewey prefix at depth(T)-1 (keeping only
-   postings that actually descend from a T-typed node) and count common
-   distinct prefixes with a linear merge. Scans the packed lists in
-   place — entries are decoded into a reused scratch buffer and a prefix
-   is materialized only when it differs from the previous one, so no
-   boxed posting is ever built. *)
+(* Distinct T-typed nodes whose subtrees hold both keywords. Such a node
+   is identified by its Dewey label, the first d = depth(T) - 1
+   components of every posting under it. The shorter list leads: for
+   each of its entries that descends from a T-typed node p (one path
+   climb), the longer list gallops to its first entry >= p, a hit iff
+   that entry lies under p — it then descends from the same T-typed
+   node, so it needs no type check of its own — and the shorter list
+   steps past its other entries under p. The longer list is only probed,
+   never walked, and the probes allocate nothing. *)
 let cooccur_compute t ~path k1 k2 =
   let d = Path.depth t.doc.paths path - 1 in
-  let truncated kw =
-    let pk = Inverted.packed_list t.inverted kw in
-    let labels = pk.Inverted.labels in
-    let n = Dewey.Packed.length labels in
-    let scratch = Array.make (max 1 (Dewey.Packed.max_depth labels)) 0 in
-    let acc = ref [] in
-    for i = 0 to n - 1 do
-      if Dewey.Packed.depth_at labels i >= d then begin
-        match Path.ancestor_at t.doc.paths pk.Inverted.paths.(i) ~depth:(d + 1) with
-        | Some a when a = path ->
-          ignore (Dewey.Packed.blit_entry labels i scratch);
-          let fresh =
-            match !acc with
-            | last :: _ ->
-              let eq = ref true in
-              for j = 0 to d - 1 do
-                if last.(j) <> scratch.(j) then eq := false
-              done;
-              not !eq
-            | [] -> true
-          in
-          if fresh then acc := Array.sub scratch 0 d :: !acc
-        | _ -> ()
-      end
-    done;
-    List.rev !acc
+  let a = Inverted.packed_list t.inverted k1 and b = Inverted.packed_list t.inverted k2 in
+  let short, long =
+    if Dewey.Packed.length a.Inverted.labels <= Dewey.Packed.length b.Inverted.labels
+    then (a, b)
+    else (b, a)
   in
-  let rec merge n a b =
-    match (a, b) with
-    | [], _ | _, [] -> n
-    | x :: a', y :: b' ->
-      let c = Dewey.compare x y in
-      if c = 0 then merge (n + 1) a' b'
-      else if c < 0 then merge n a' b
-      else merge n a b'
-  in
-  merge 0 (truncated k1) (truncated k2)
+  let labels = short.Inverted.labels in
+  let n = Dewey.Packed.length labels in
+  let cur = Cursor.Packed.make long.Inverted.labels in
+  let p = Array.make (max 1 (Dewey.Packed.max_depth labels)) 0 in
+  let under_p l j = Dewey.Packed.common_prefix_len_sub l j p d = d in
+  let hits = ref 0 and i = ref 0 in
+  while !i < n && not (Cursor.Packed.at_end cur) do
+    if Path.is_prefix t.doc.paths ~ancestor:path ~descendant:short.Inverted.paths.(!i)
+    then begin
+      ignore (Dewey.Packed.blit_entry labels !i p);
+      Cursor.Packed.seek_geq_sub cur p d;
+      if
+        (not (Cursor.Packed.at_end cur))
+        && under_p long.Inverted.labels (Cursor.Packed.position cur)
+      then incr hits;
+      incr i;
+      while !i < n && under_p labels !i do
+        incr i
+      done
+    end
+    else incr i
+  done;
+  !hits
 
 let memo_fam =
   Xr_obs.Registry.Counter.family ~name:"xr_stats_cooccur_memo_total"

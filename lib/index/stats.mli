@@ -11,8 +11,9 @@
       occurring in subtrees of type [T];
     - [node_count] is {% $N_T$ %}: the number of [T]-typed nodes;
     - [cooccur] is {% $f_{k_i,k_j}^T$ %}: the number of [T]-typed nodes
-      whose subtree contains both keywords. Computed on demand by a
-      linear merge of the two inverted lists and memoized (the paper
+      whose subtree contains both keywords. Computed on demand by
+      galloping the longer inverted list from the shorter list's
+      [T]-typed ancestors, and memoized (the paper
       stores the full table in Berkeley DB; the memo table is its
       equivalent, built lazily to avoid the {% $K^2 T$ %} worst case). *)
 

@@ -161,18 +161,22 @@ module Packed = struct
     check t i;
     decode t.buf t.offsets.(i)
 
+  (* The entry walks below are top-level recursive functions that take
+     every value they read as an argument: a local [let rec] capturing
+     its context is a closure, and without flambda that closure is heap
+     allocated on every call. *)
+  let rec blit_from buf dst d k off =
+    if k < d then begin
+      Array.unsafe_set dst k (decode buf off);
+      blit_from buf dst d (k + 1) (skip buf off)
+    end
+
   let blit_entry t i dst =
     check t i;
     let off = t.offsets.(i) in
     let d = decode t.buf off in
     if Array.length dst < d then invalid_arg "Dewey.Packed.blit_entry: scratch too small";
-    let rec go k off =
-      if k < d then begin
-        Array.unsafe_set dst k (decode t.buf off);
-        go (k + 1) (skip t.buf off)
-      end
-    in
-    go 0 (skip t.buf off);
+    blit_from t.buf dst d 0 (skip t.buf off);
     d
 
   let get t i =
@@ -180,46 +184,42 @@ module Packed = struct
     let off = t.offsets.(i) in
     let d = decode t.buf off in
     let a = Array.make d 0 in
-    let rec go k off =
-      if k < d then begin
-        a.(k) <- decode t.buf off;
-        go (k + 1) (skip t.buf off)
-      end
-    in
-    go 0 (skip t.buf off);
+    blit_from t.buf a d 0 (skip t.buf off);
     a
 
   let to_array t = Array.init (length t) (get t)
 
   (* ---- allocation-free structural operations ---------------------------- *)
 
+  let rec compare_from buf (v : label) d len n k off =
+    if k = n then Int.compare d len
+    else
+      let c = decode buf off in
+      let x = Array.unsafe_get v k in
+      if c <> x then Int.compare c x
+      else compare_from buf v d len n (k + 1) (skip buf off)
+
   let compare_sub t i (v : label) len =
     check t i;
     let off = t.offsets.(i) in
     let d = decode t.buf off in
     let n = if d < len then d else len in
-    let rec go k off =
-      if k = n then Int.compare d len
-      else
-        let c = decode t.buf off in
-        let x = Array.unsafe_get v k in
-        if c <> x then Int.compare c x else go (k + 1) (skip t.buf off)
-    in
-    go 0 (skip t.buf off)
+    compare_from t.buf v d len n 0 (skip t.buf off)
 
   let compare_label t i v = compare_sub t i v (Array.length v)
+
+  let rec common_from buf (v : label) n k off =
+    if k = n then k
+    else if decode buf off = Array.unsafe_get v k then
+      common_from buf v n (k + 1) (skip buf off)
+    else k
 
   let common_prefix_len_sub t i (v : label) len =
     check t i;
     let off = t.offsets.(i) in
     let d = decode t.buf off in
     let n = if d < len then d else len in
-    let rec go k off =
-      if k = n then k
-      else if decode t.buf off = Array.unsafe_get v k then go (k + 1) (skip t.buf off)
-      else k
-    in
-    go 0 (skip t.buf off)
+    common_from t.buf v n 0 (skip t.buf off)
 
   let common_prefix_len_label t i v = common_prefix_len_sub t i v (Array.length v)
 
@@ -234,26 +234,35 @@ module Packed = struct
      common case, take the branch that never re-reads for a skip). This
      is the probe primitive of the scan kernels, where it halves the
      number of entry walks per cursor step. *)
+  let rec compare_prefix_from buf (v : label) d len n k off =
+    if k = n then (n lsl 2) lor (Int.compare d len + 1)
+    else
+      let b = byte buf off in
+      if b < 0x80 then
+        let x = Array.unsafe_get v k in
+        if b <> x then (k lsl 2) lor (Int.compare b x + 1)
+        else compare_prefix_from buf v d len n (k + 1) (off + 1)
+      else
+        let c = decode_from buf (off + 1) 7 (b land 0x7f) in
+        let x = Array.unsafe_get v k in
+        if c <> x then (k lsl 2) lor (Int.compare c x + 1)
+        else compare_prefix_from buf v d len n (k + 1) (skip buf (off + 1))
+
   let compare_prefix_sub t i (v : label) len =
     check t i;
     let buf = t.buf in
     let off = t.offsets.(i) in
     let d = decode buf off in
     let n = if d < len then d else len in
-    let rec go k off =
-      if k = n then (n lsl 2) lor (Int.compare d len + 1)
+    compare_prefix_from buf v d len n 0 (skip buf off)
+
+  let rec compare_entries_from bufa bufb da db n k offa offb =
+    if k = n then Int.compare da db
+    else
+      let x = decode bufa offa and y = decode bufb offb in
+      if x <> y then Int.compare x y
       else
-        let b = byte buf off in
-        if b < 0x80 then
-          let x = Array.unsafe_get v k in
-          if b <> x then (k lsl 2) lor (Int.compare b x + 1) else go (k + 1) (off + 1)
-        else
-          let c = decode_from buf (off + 1) 7 (b land 0x7f) in
-          let x = Array.unsafe_get v k in
-          if c <> x then (k lsl 2) lor (Int.compare c x + 1)
-          else go (k + 1) (skip buf (off + 1))
-    in
-    go 0 (skip buf off)
+        compare_entries_from bufa bufb da db n (k + 1) (skip bufa offa) (skip bufb offb)
 
   let compare_entries a i b j =
     check a i;
@@ -261,13 +270,7 @@ module Packed = struct
     let offa = a.offsets.(i) and offb = b.offsets.(j) in
     let da = decode a.buf offa and db = decode b.buf offb in
     let n = if da < db then da else db in
-    let rec go k offa offb =
-      if k = n then Int.compare da db
-      else
-        let x = decode a.buf offa and y = decode b.buf offb in
-        if x <> y then Int.compare x y else go (k + 1) (skip a.buf offa) (skip b.buf offb)
-    in
-    go 0 (skip a.buf offa) (skip b.buf offb)
+    compare_entries_from a.buf b.buf da db n 0 (skip a.buf offa) (skip b.buf offb)
 
   let lower_bound_sub t ~lo (v : label) len =
     let l = ref (if lo < 0 then 0 else lo) and h = ref (length t) in

@@ -48,26 +48,25 @@ let tag t id = (get t id).tag
 
 let depth t id = (get t id).depth
 
-let is_prefix t ~ancestor ~descendant =
-  let da = depth t ancestor in
-  let rec climb id =
-    if id = ancestor then true
-    else
-      let n = get t id in
-      if n.depth <= da then false
-      else if n.parent < 0 then false
-      else climb n.parent
-  in
-  climb descendant
-
-let ancestor_at t id ~depth:d =
-  let rec climb id =
+(* Top-level climbs, not local closures: without flambda a local
+   [let rec] capturing [t] would be heap allocated on every call. *)
+let rec climb_to t ancestor da id =
+  if id = ancestor then true
+  else
     let n = get t id in
-    if n.depth = d then Some id
-    else if n.depth < d || n.parent < 0 then None
-    else climb n.parent
-  in
-  if d < 1 then None else climb id
+    if n.depth <= da then false
+    else if n.parent < 0 then false
+    else climb_to t ancestor da n.parent
+
+let is_prefix t ~ancestor ~descendant = climb_to t ancestor (depth t ancestor) descendant
+
+let rec climb_at t d id =
+  let n = get t id in
+  if n.depth = d then Some id
+  else if n.depth < d || n.parent < 0 then None
+  else climb_at t d n.parent
+
+let ancestor_at t id ~depth:d = if d < 1 then None else climb_at t d id
 
 let ancestors t id =
   (* [p; parent; ...; root] *)

@@ -44,6 +44,9 @@
 # active. Each is the median over interleaved (instrumented, bare)
 # pairs of the dblp query set, so one disturbed sample cannot fail the
 # gate; both are gated at <= 2.0 in the committed and the fresh file.
+#
+# Every check runs even after one fails; the gate prints each failure as
+# it happens, names the failed checks again at the end, and then exits 1.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -56,6 +59,16 @@ TMP=""
 cleanup() { [ -n "$TMP" ] && rm -rf "$TMP"; }
 trap cleanup EXIT INT TERM
 TMP="$(mktemp -d)"
+
+# gate LABEL CHECK ARGS...: run one check and record, not propagate, its
+# failure, so a red run names every failing gate instead of the first.
+FAILED=""
+gate() {
+  label="$1"
+  shift
+  if ! "$@"; then FAILED="$FAILED
+  $label"; fi
+}
 
 # check_speedups FILE LABEL [MIN]: every key named speedup_*_total,
 # anywhere in the JSON, must be >= MIN (default 1.0; fresh runs pass
@@ -244,43 +257,52 @@ EOF
 }
 
 # 1. committed baselines
-check_speedups BENCH_slca.json "committed slca"
-check_overhead BENCH_slca.json "committed slca"
-check_refine_shape BENCH_refine.json "committed refine"
-check_batch BENCH_batch.json "committed batch"
+gate "committed slca speedups" check_speedups BENCH_slca.json "committed slca"
+gate "committed slca overhead" check_overhead BENCH_slca.json "committed slca"
+gate "committed refine shape" check_refine_shape BENCH_refine.json "committed refine"
+gate "committed batch" check_batch BENCH_batch.json "committed batch"
 
 # 2. fresh smoke runs (or injected substitutes)
 if [ -n "${FRESH_SLCA:-}" ]; then
   cp "$FRESH_SLCA" "$TMP/slca.json"
 else
   echo "bench-gate: running slca_bench --smoke"
-  dune exec bench/slca_bench.exe -- --smoke --out "$TMP/slca.json" >/dev/null
+  gate "fresh slca run" \
+    dune exec bench/slca_bench.exe -- --smoke --out "$TMP/slca.json" >/dev/null
 fi
 if [ -n "${FRESH_REFINE:-}" ]; then
   cp "$FRESH_REFINE" "$TMP/refine.json"
 else
   echo "bench-gate: running refine_bench --smoke"
-  dune exec bench/refine_bench.exe -- --smoke --out "$TMP/refine.json" >/dev/null
+  gate "fresh refine run" \
+    dune exec bench/refine_bench.exe -- --smoke --out "$TMP/refine.json" >/dev/null
 fi
 
 if [ -n "${FRESH_BATCH:-}" ]; then
   cp "$FRESH_BATCH" "$TMP/batch.json"
 else
   echo "bench-gate: running batch_bench --smoke (asserts batched = unbatched bytes)"
-  dune exec bench/batch_bench.exe -- --smoke --out "$TMP/batch.json" >/dev/null
+  gate "fresh batch run" \
+    dune exec bench/batch_bench.exe -- --smoke --out "$TMP/batch.json" >/dev/null
 fi
 
 if [ -n "${BENCH_OUT_DIR:-}" ]; then
   mkdir -p "$BENCH_OUT_DIR"
   for b in slca refine batch; do
-    cp "$TMP/$b.json" "$BENCH_OUT_DIR/BENCH_${b}_smoke.json"
+    if [ -f "$TMP/$b.json" ]; then
+      cp "$TMP/$b.json" "$BENCH_OUT_DIR/BENCH_${b}_smoke.json"
+    fi
   done
   echo "bench-gate: fresh smoke JSONs copied to $BENCH_OUT_DIR"
 fi
 
-check_speedups "$TMP/slca.json" "fresh slca" 0.90
-check_overhead "$TMP/slca.json" "fresh slca"
-check_refine_shape "$TMP/refine.json" "fresh refine"
-check_batch "$TMP/batch.json" "fresh batch"
+gate "fresh slca speedups" check_speedups "$TMP/slca.json" "fresh slca" 0.90
+gate "fresh slca overhead" check_overhead "$TMP/slca.json" "fresh slca"
+gate "fresh refine shape" check_refine_shape "$TMP/refine.json" "fresh refine"
+gate "fresh batch" check_batch "$TMP/batch.json" "fresh batch"
 
+if [ -n "$FAILED" ]; then
+  echo "bench-gate: FAIL - failed checks:$FAILED" >&2
+  exit 1
+fi
 echo "bench-gate: PASS"

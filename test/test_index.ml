@@ -194,63 +194,62 @@ let test_paths_containing () =
   (* xml lives under: bib, author, publications, inproceedings, title *)
   check Alcotest.int "5 node types contain xml" 5 (List.length hits)
 
+(* [Stats.cooccur] against its definition: the number of T-typed nodes
+   whose subtree, self included, holds both keywords, counted from the
+   oracle's per-keyword prefix counts and subtree ends (no posting list
+   involved). Every path T including the root's, every keyword pair
+   including k1 = k2 and a keyword absent from the document, both
+   argument orders. *)
+let cooccur_matches_definition tree =
+  let index = Index.build (Doc.of_tree tree) in
+  let doc = index.Index.doc in
+  let o = Oracle.make doc in
+  let ids = List.filter_map (Doc.keyword_id doc) (Doc.vocabulary doc) in
+  let absent = 1 + List.fold_left max 0 ids in
+  let kws = absent :: ids in
+  let holds kw i =
+    let c = Oracle.counts o kw in
+    c.(o.Oracle.ends.(i)) > c.(i)
+  in
+  let ok = ref true in
+  Path.iter
+    (fun path ->
+      List.iter
+        (fun k1 ->
+          List.iter
+            (fun k2 ->
+              let expected = ref 0 in
+              Array.iteri
+                (fun i (node : Doc.node) ->
+                  if node.Doc.path = path && holds k1 i && holds k2 i then incr expected)
+                doc.Doc.nodes;
+              if
+                Stats.cooccur index.Index.stats ~path k1 k2 <> !expected
+                || Stats.cooccur index.Index.stats ~path k2 k1 <> !expected
+              then ok := false)
+            kws)
+        kws)
+    doc.Doc.paths;
+  !ok
+
 (* co-occurrence vs brute force on random documents *)
 let prop_cooccur_brute_force =
-  let gen =
-    let open QCheck.Gen in
-    let tag = oneofl [ "a"; "b"; "c" ] in
-    let word = oneofl [ "x"; "y"; "z" ] in
-    let rec node depth =
-      if depth = 0 then map2 Tree.leaf tag word
-      else
-        frequency
-          [
-            (1, map2 Tree.leaf tag word);
-            ( 2,
-              (fun st ->
-                let tg = tag st in
-                let w = word st in
-                let children = list_size (int_bound 3) (node (depth - 1)) st in
-                Tree.elem tg (Tree.Text w :: List.map (fun c -> Tree.Elem c) children)) );
-          ]
-    in
-    node 3
-  in
   QCheck.Test.make ~name:"cooccur equals brute force" ~count:150
-    (QCheck.make ~print:Xr_xml.Printer.to_string gen)
-    (fun tree ->
-      let index = Index.build (Doc.of_tree tree) in
-      let doc = index.Index.doc in
-      let stats = index.Index.stats in
-      let subtree_has root_dewey k =
-        let lo, hi = Doc.subtree_node_range doc root_dewey in
-        let rec go i =
-          i < hi
-          && (List.exists (fun (id, _) -> id = k) doc.Doc.nodes.(i).Doc.keywords || go (i + 1))
-        in
-        go lo
-      in
-      let kws = List.filter_map (Doc.keyword_id doc) [ "x"; "y"; "z"; "a"; "b" ] in
-      let ok = ref true in
-      Path.iter
-        (fun path ->
-          List.iter
-            (fun k1 ->
-              List.iter
-                (fun k2 ->
-                  let expected =
-                    Array.to_list doc.Doc.nodes
-                    |> List.filter (fun (n : Doc.node) ->
-                           n.Doc.path = path && subtree_has n.Doc.dewey k1
-                           && subtree_has n.Doc.dewey k2)
-                    |> List.length
-                  in
-                  let got = Stats.cooccur stats ~path k1 k2 in
-                  if got <> expected then ok := false)
-                kws)
-            kws)
-        doc.Doc.paths;
-      !ok)
+    (QCheck.make ~print:Printer.to_string Oracle.gen_doc)
+    cooccur_matches_definition
+
+(* Skewed lists: "entry" sits in every record's list, "rare" in one
+   record; 300 records, so Dewey components past 127 take two bytes. *)
+let test_cooccur_definition_skewed () =
+  let record i =
+    Tree.Elem
+      (Tree.elem "rec"
+         (Tree.Elem (Tree.elem "list" [ Tree.Elem (Tree.leaf "item" "entry common") ])
+          :: Tree.Elem (Tree.leaf "name" (Printf.sprintf "n%d" (i mod 7)))
+          :: (if i = 211 then [ Tree.Elem (Tree.leaf "note" "rare entry") ] else [])))
+  in
+  let tree = Tree.elem "db" (List.init 300 record) in
+  check Alcotest.bool "cooccur = definition" true (cooccur_matches_definition tree)
 
 (* cooccur is bounded by both dfs *)
 let test_cooccur_bounds () =
@@ -435,6 +434,8 @@ let () =
         [
           qcheck prop_cooccur_brute_force;
           Alcotest.test_case "df bound" `Quick test_cooccur_bounds;
+          Alcotest.test_case "definition, skewed lists" `Quick
+            test_cooccur_definition_skewed;
         ] );
       ( "incremental",
         [

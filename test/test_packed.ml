@@ -169,6 +169,53 @@ let prop_match_probe =
           PC.match_probe c v (Array.length v) = expected)
         probes)
 
+(* ---- allocation-free probes ---------------------------------------------- *)
+
+(* The probe primitives allocate nothing: each runs [calls] times over a
+   list whose labels mix one- and two-byte components, and the minor
+   heap may grow by less than one word per call. A probe written with a
+   local closure fails this without flambda, which heap-allocates the
+   closure on every call. *)
+let calls = 10_000
+
+let alloc_labels =
+  Array.init (calls + 1) (fun i -> [| 200 + i; 3; 130 + (i mod 50); i mod 7 |])
+
+let alloc_pk = lazy (P.of_array alloc_labels)
+
+(* [make pk] sets up (and may allocate); the per-call function it returns
+   is what is measured. *)
+let test_alloc_free make () =
+  let f = make (Lazy.force alloc_pk) in
+  let before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    f i
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  if per_call >= 1.0 then Alcotest.failf "%.2f minor words per call" per_call
+
+let alloc_probes =
+  let full = 4 and label i = alloc_labels.(i) in
+  let cursor_probe step pk =
+    let c = PC.make pk in
+    fun i -> step c (label (i + 1))
+  in
+  let entry_probe probe pk i = ignore (Sys.opaque_identity (probe pk i (label i) full)) in
+  [
+    ("compare_sub", entry_probe P.compare_sub);
+    ("common_prefix_len_sub", entry_probe P.common_prefix_len_sub);
+    ("compare_prefix_sub", entry_probe P.compare_prefix_sub);
+    ( "compare_entries",
+      fun pk i -> ignore (Sys.opaque_identity (P.compare_entries pk i pk (i + 1))) );
+    ( "blit_entry",
+      fun pk ->
+        let dst = Array.make (P.max_depth pk) 0 in
+        fun i -> ignore (Sys.opaque_identity (P.blit_entry pk i dst)) );
+    ("Cursor.Packed.seek_geq_sub", cursor_probe (fun c v -> PC.seek_geq_sub c v full));
+    ( "Cursor.Packed.match_probe",
+      cursor_probe (fun c v -> ignore (Sys.opaque_identity (PC.match_probe c v full))) );
+  ]
+
 (* ---- packed index views -------------------------------------------------- *)
 
 let test_inverted_views () =
@@ -244,6 +291,10 @@ let () =
           Alcotest.test_case "match probe" `Quick test_match_probe;
           qcheck prop_match_probe;
         ] );
+      ( "alloc-free",
+        List.map
+          (fun (name, make) -> Alcotest.test_case name `Quick (test_alloc_free make))
+          alloc_probes );
       ("inverted", [ Alcotest.test_case "packed = legacy views" `Quick test_inverted_views ]);
       ( "kernels",
         [ qcheck prop_packed_equals_reference; qcheck prop_packed_roundtrip_store ] );

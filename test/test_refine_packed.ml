@@ -26,20 +26,22 @@ let corpora =
         Index.build (Doc.of_tree (Xr_data.Dblp.scaled ~publications:120 ~seed:42)) );
     ]
 
-(* Two frequent keyword names of the corpus, used to assemble workloads
-   that exercise each rewrite operation with a guaranteed-absent keyword
-   so refinement actually runs. *)
-let top2 (index : Index.t) =
+(* The corpus's keyword names, most frequent first. *)
+let by_frequency (index : Index.t) =
   let acc = ref [] in
   Inverted.iter_packed
     (fun kw pk ->
       let n = Inverted.packed_postings pk in
       if n > 0 then acc := (kw, n) :: !acc)
     index.Index.inverted;
-  match
-    List.sort (fun (_, a) (_, b) -> Int.compare b a) !acc
-    |> List.map (fun (kw, _) -> Doc.keyword_name index.Index.doc kw)
-  with
+  List.sort (fun (_, a) (_, b) -> Int.compare b a) !acc
+  |> List.map (fun (kw, _) -> Doc.keyword_name index.Index.doc kw)
+
+(* Two frequent keyword names of the corpus, used to assemble workloads
+   that exercise each rewrite operation with a guaranteed-absent keyword
+   so refinement actually runs. *)
+let top2 index =
+  match by_frequency index with
   | k1 :: k2 :: _ -> (k1, k2)
   | _ -> Alcotest.fail "corpus has fewer than two keywords"
 
@@ -199,6 +201,19 @@ let test_oracle_corpora ~mined () =
   in
   check Alcotest.(list string) "oracle violations" [] failures
 
+(* A KS wider than the 62-bit presence signature: one absent keyword
+   with a synonym rule to each of 70 corpus keywords. Every partition
+   then runs the DP uncached, asking the walk which keywords it holds. *)
+let test_oracle_wide_ks () =
+  let index = List.assoc "dblp" (Lazy.force corpora) in
+  let k2 = snd (top2 index) in
+  let targets =
+    List.filteri (fun i _ -> i < 70) (List.filter (( <> ) k2) (by_frequency index))
+  in
+  let c = make index (List.map (Rule.synonym "zzsrc") targets) [ "zzsrc"; k2 ] in
+  check Alcotest.bool "KS exceeds the signature" true (Array.length c.ks > 62);
+  check Alcotest.(list string) "oracle violations" [] (violations ~k:3 c)
+
 let prop_oracle_random =
   QCheck.Test.make ~name:"random documents, mined rules" ~count:1500
     Oracle.arb_refine_case
@@ -278,6 +293,7 @@ let () =
             (test_oracle_corpora ~mined:false);
           Alcotest.test_case "corpora, mined rules" `Quick
             (test_oracle_corpora ~mined:true);
+          Alcotest.test_case "dblp, KS over 62 keywords" `Quick test_oracle_wide_ks;
           qcheck prop_oracle_random;
         ] );
       ( "primitives",

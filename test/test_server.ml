@@ -356,8 +356,8 @@ let http_get fd target =
   | Ok r -> r
   | Error e -> Alcotest.failf "GET %s: %s" target (Http.error_to_string e)
 
-let with_server config f =
-  let index = Lazy.force fig1 in
+let with_server ?(index = fig1) config f =
+  let index = Lazy.force index in
   let server = Server.start config index in
   let acceptor = Domain.spawn (fun () -> Server.run server) in
   let port =
@@ -687,6 +687,51 @@ let test_api_payloads () =
   check Alcotest.bool "refine outcome present" true
     (match Json.member "outcome" refined with Some (Json.String _) -> true | _ -> false)
 
+(* ---- golden /refine bodies ------------------------------------------------- *)
+
+(* File-driven: each [cases/refine/NAME.target] holds one request target
+   and [NAME.json] the exact body [Server.handle] answers for it on the
+   [dblp] corpus above. The cases cover one query per defect kind, one
+   that matches as-is and one with no result; the bodies pin the
+   similarity, dependence and rank floats byte for byte, which the
+   oracle groups do not. A missing file fails its case. *)
+let golden_dir = "cases/refine"
+
+let golden_names =
+  [
+    "01-misspell";
+    "02-split-word";
+    "03-merged-words";
+    "04-synonym";
+    "05-acronym";
+    "06-overconstrain";
+    "07-as-is";
+    "08-no-result";
+  ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_golden_refine name () =
+  let target = String.trim (read_file (Filename.concat golden_dir (name ^ ".target"))) in
+  let expected = read_file (Filename.concat golden_dir (name ^ ".json")) in
+  let req =
+    match parse (Printf.sprintf "GET %s HTTP/1.1\r\nhost: test\r\n\r\n" target) with
+    | Ok req -> req
+    | Error e -> Alcotest.failf "%s: %s" target (Http.error_to_string e)
+  in
+  let config =
+    { Server.default_config with Server.addr = Server.Tcp ("127.0.0.1", 0); domains = 1 }
+  in
+  with_server ~index:dblp config (fun server _port ->
+      let resp = Server.handle server req in
+      check Alcotest.int (target ^ " status") 200 resp.Http.status;
+      if resp.Http.resp_body <> expected then
+        (* left next to the test binary, to inspect or to replace the
+           golden body with when a change is meant to alter it *)
+        Out_channel.with_open_bin (name ^ ".json.actual") (fun oc ->
+            output_string oc resp.Http.resp_body);
+      check Alcotest.string (target ^ " body") expected resp.Http.resp_body)
+
 (* ---- suite ------------------------------------------------------------------ *)
 
 let () =
@@ -747,4 +792,8 @@ let () =
           Alcotest.test_case "explain/analyze/trace lookup" `Quick test_e2e_introspection;
           Alcotest.test_case "slow-query corpora field" `Quick test_slowlog_corpora;
         ] );
+      ( "refine-golden",
+        List.map
+          (fun name -> Alcotest.test_case name `Quick (test_golden_refine name))
+          golden_names );
     ]
