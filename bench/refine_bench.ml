@@ -7,9 +7,9 @@
 
    Each corpus runs four workloads exercising one rewrite operation each
    (deletion / merging / split / substitution); each workload times the
-   three algorithms on the packed lists. Writes BENCH_refine.json (see
-   doc/PERF.md); correctness is the oracle suite's job
-   (test/test_refine_packed.ml). *)
+   three algorithms on the packed lists, warm ([packed_ns]) and cold
+   ([cold_ns]). Writes BENCH_refine.json (see doc/PERF.md); correctness
+   is the oracle suite's job (test/test_refine_packed.ml). *)
 
 module Index = Xr_index.Index
 module Inverted = Xr_index.Inverted
@@ -37,6 +37,19 @@ let bench f =
     best := Float.min !best (sample ())
   done;
   !best /. float_of_int !iters
+
+(* Cold per-call time: the median of 15 single calls, each on a fresh
+   [Index.fork] made outside the timed region, so [Stats.cooccur]'s memo
+   starts empty as on a cold /refine. [bench]'s repeated calls reuse one
+   index and see the memo warm after the first. *)
+let cold index rules query run =
+  let samples =
+    Array.init 15 (fun _ ->
+        let c = Refine_common.make (Index.fork index) rules query in
+        time_ns (fun () -> ignore (run c)))
+  in
+  Array.sort Float.compare samples;
+  samples.(7)
 
 let corpora ~smoke =
   let dblp_pubs = if smoke then 300 else 2000 in
@@ -95,19 +108,27 @@ let () =
     (fun (name, doc) ->
       let index = Index.build doc in
       Printf.printf "\n== %s: %d nodes ==\n%!" name (Doc.node_count doc);
-      let total = ref 0. in
+      let total = ref 0. and cold_total = ref 0. in
       let workload_json =
         List.map
           (fun (wname, query, rules) ->
-            let c = Refine_common.make index (Ruleset.of_rules rules) query in
+            let rules = Ruleset.of_rules rules in
+            let c = Refine_common.make index rules query in
             let alg_json =
               List.map
                 (fun (alg, run) ->
                   let ns = bench (fun () -> run c) in
+                  let cold_ns = cold index rules query run in
                   total := !total +. ns;
-                  Printf.printf "  %-12s %-12s %10.0fns\n%!" wname alg ns;
+                  cold_total := !cold_total +. cold_ns;
+                  Printf.printf "  %-12s %-12s %10.0fns  cold %10.0fns\n%!" wname alg ns
+                    cold_ns;
                   Json.Obj
-                    [ ("algorithm", Json.String alg); ("packed_ns", Json.Float ns) ])
+                    [
+                      ("algorithm", Json.String alg);
+                      ("packed_ns", Json.Float ns);
+                      ("cold_ns", Json.Float cold_ns);
+                    ])
                 (algorithms ~k)
             in
             Json.Obj
@@ -118,7 +139,7 @@ let () =
               ])
           (workloads index)
       in
-      Printf.printf "  total %.0fns\n%!" !total;
+      Printf.printf "  total %.0fns  cold %.0fns\n%!" !total !cold_total;
       corpus_json :=
         Json.Obj
           [
@@ -126,6 +147,7 @@ let () =
             ("nodes", Json.Int (Doc.node_count doc));
             ("workloads", Json.List workload_json);
             ("packed_ns_total", Json.Float !total);
+            ("cold_ns_total", Json.Float !cold_total);
           ]
         :: !corpus_json)
     (corpora ~smoke);

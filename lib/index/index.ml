@@ -152,5 +152,8 @@ let load (kv : Kv.t) =
   let nodes_per_path = Codec.decode Codec.read_int_array (get "npt") in
   if Array.length nodes_per_path <> Path.size doc.paths then
     failwith "Index.load: node-type table mismatch with stored document";
-  let stats = Stats.import doc inverted ~rows ~nodes_per_path in
+  let stats =
+    try Stats.import doc inverted ~rows ~nodes_per_path
+    with Failure msg -> failwith ("Index.load: key ft: " ^ msg)
+  in
   { doc; inverted; stats }

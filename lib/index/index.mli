@@ -64,6 +64,7 @@ val save_delta : t -> Xr_store.Kv.t -> changed:Xr_xml.Interner.id list -> unit
 (** [load kv] restores an index bundle saved by {!save}: the document
     is re-parsed from the stored text; inverted lists and statistics are
     decoded from the store without rescanning the document.
-    @raise Failure if the store does not hold a saved index or is
-    inconsistent with the stored document. *)
+    @raise Failure if the store does not hold a saved index, is
+    inconsistent with the stored document, or holds a frequency row that
+    {!Stats.import} rejects (the message names the [ft] key). *)
 val load : Xr_store.Kv.t -> t

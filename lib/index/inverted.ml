@@ -20,18 +20,34 @@ let pack_postings (postings : posting array) =
 
 let of_packed packed = packed
 
+let rec count_postings counts = function
+  | [] -> ()
+  | (kw, _) :: rest ->
+    counts.(kw) <- counts.(kw) + 1;
+    count_postings counts rest
+
+(* [fill.(kw)] is the next free slot of [kw]'s arrays. *)
+let rec add_postings labels paths fill (node : Doc.node) = function
+  | [] -> ()
+  | (kw, _) :: rest ->
+    let i = fill.(kw) in
+    labels.(kw).(i) <- node.dewey;
+    paths.(kw).(i) <- node.path;
+    fill.(kw) <- i + 1;
+    add_postings labels paths fill node rest
+
+(* Two passes over the nodes: count each keyword's postings, then fill
+   its label and path arrays, allocated once, in document order. *)
 let build (doc : Doc.t) =
-  let n = Interner.size doc.keywords in
-  let acc = Array.make n [] in
-  (* Nodes are in document order; build lists in reverse then flip. *)
+  let counts = Array.make (Interner.size doc.keywords) 0 in
+  Array.iter (fun (node : Doc.node) -> count_postings counts node.keywords) doc.nodes;
+  let labels = Array.map (fun c -> Array.make c Dewey.root) counts in
+  let paths = Array.map (fun c -> Array.make c 0) counts in
+  let fill = Array.make (Array.length counts) 0 in
   Array.iter
-    (fun (node : Doc.node) ->
-      List.iter
-        (fun (kw, _count) ->
-          acc.(kw) <- { dewey = node.dewey; path = node.path } :: acc.(kw))
-        node.keywords)
+    (fun (node : Doc.node) -> add_postings labels paths fill node node.keywords)
     doc.nodes;
-  Array.map (fun l -> pack_postings (Array.of_list (List.rev l))) acc
+  Array.map2 (fun l p -> { labels = Dewey.Packed.of_array l; paths = p }) labels paths
 
 let packed_list t kw = if kw >= 0 && kw < Array.length t then t.(kw) else empty_packed
 

@@ -2,11 +2,29 @@ open Xr_xml
 
 let memo_shard_count = 16 (* power of two: shard index is a hash mask *)
 
+(* Counters of one (T, k) pair. [last] is the node index of the T-typed
+   ancestor that [df] last counted. *)
+type cell = { mutable df : int; mutable tf : int; mutable last : int }
+
+(* Pair keys are [(path lsl 31) lor kw], independent of how large the
+   vocabulary and the path table grow. The hash folds the path bits into
+   the low bits a bucket index keeps, inline: [Hashtbl.hash] is a C call
+   per pair. *)
+module Cells = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k * 0x2545F4914F6CDD1D) lxor (k lsr 29)
+end)
+
+let max_kw = (1 lsl 31) - 1
+
+let key path kw = if path < 0 || kw < 0 || kw > max_kw then -1 else (path lsl 31) lor kw
+
 type t = {
   doc : Doc.t;
   inverted : Inverted.t;
-  df : (Path.id * Interner.id, int) Hashtbl.t;
-  tf : (Path.id * Interner.id, int) Hashtbl.t;
+  cells : cell Cells.t;
   distinct : int array; (* G_T, by path id *)
   nodes_per_path : int array; (* N_T, by path id *)
   memo_shards : memo_shard array;
@@ -25,130 +43,99 @@ let make_memo_shards () =
   Array.init memo_shard_count (fun _ ->
       { memo = Hashtbl.create 32; lock = Mutex.create () })
 
+let cell t tpath kw =
+  let k = key tpath kw in
+  match Cells.find t.cells k with
+  | c -> c
+  | exception Not_found ->
+    let c = { df = 0; tf = 0; last = -1 } in
+    Cells.add t.cells k c;
+    t.distinct.(tpath) <- t.distinct.(tpath) + 1;
+    c
+
+(* The accumulation kernel. [types.(d)] is the node's ancestor type at
+   depth [d + 1] and [stack.(d)] the node index of that ancestor. Nodes
+   arrive in pre-order, so a (T, k) pair's occurrences under one T-typed
+   ancestor are consecutive: [df] counts a new ancestor exactly when it
+   differs from the pair's [last]. Top-level recursion over the keyword
+   list and the ancestor depths, so nothing is allocated per pair. *)
+let rec add_keyword t types stack kw count d =
+  if d >= 0 then begin
+    let c = cell t (Array.unsafe_get types d) kw in
+    c.tf <- c.tf + count;
+    let ancestor = stack.(d) in
+    if c.last <> ancestor then begin
+      c.last <- ancestor;
+      c.df <- c.df + 1
+    end;
+    add_keyword t types stack kw count (d - 1)
+  end
+
+let rec add_keywords t types stack = function
+  | [] -> ()
+  | (kw, count) :: rest ->
+    add_keyword t types stack kw count (Array.length types - 1);
+    add_keywords t types stack rest
+
+(* Counts [nodes], whose first node has index [base] in the document.
+   [stack] starts all zero: an appended partition's nodes all sit under
+   the root, node 0. *)
+let accumulate t nodes ~base =
+  let paths = t.doc.Doc.paths in
+  let types =
+    Array.init (Path.size paths) (fun p ->
+        Array.of_list (List.rev (Path.ancestors paths p)))
+  in
+  let depth = Array.fold_left (fun m a -> max m (Array.length a)) 1 types in
+  let stack = Array.make depth 0 in
+  Array.iteri
+    (fun j (node : Doc.node) ->
+      let types = types.(node.path) in
+      stack.(Array.length types - 1) <- base + j;
+      t.nodes_per_path.(node.path) <- t.nodes_per_path.(node.path) + 1;
+      add_keywords t types stack node.keywords)
+    nodes
+
+let make doc inverted cells ~distinct ~nodes_per_path =
+  { doc; inverted; cells; distinct; nodes_per_path; memo_shards = make_memo_shards () }
+
 let build (doc : Doc.t) inverted =
   let npaths = Path.size doc.paths in
-  let df = Hashtbl.create 4096 in
-  let tf = Hashtbl.create 4096 in
-  let nodes_per_path = Array.make npaths 0 in
-  (* Last counted ancestor label per (T, k): nodes arrive in document
-     order, so occurrences under one T-typed ancestor are consecutive and
-     a (T, k) pair needs a new df count exactly when the ancestor label at
-     depth(T) changes. *)
-  let last_prefix : (Path.id * Interner.id, Dewey.t) Hashtbl.t = Hashtbl.create 4096 in
-  let bump table key n =
-    let v = try Hashtbl.find table key with Not_found -> 0 in
-    Hashtbl.replace table key (v + n)
+  let t =
+    make doc inverted (Cells.create 4096) ~distinct:(Array.make npaths 0)
+      ~nodes_per_path:(Array.make npaths 0)
   in
-  Array.iter
-    (fun (node : Doc.node) ->
-      nodes_per_path.(node.path) <- nodes_per_path.(node.path) + 1;
-      if node.keywords <> [] then begin
-        let ancestor_paths = Path.ancestors doc.paths node.path in
-        List.iter
-          (fun (kw, count) ->
-            List.iter
-              (fun tpath ->
-                let d = Path.depth doc.paths tpath in
-                let prefix = Dewey.prefix node.dewey (d - 1) in
-                (* depth 1 = root path = Dewey prefix of length 0 *)
-                bump tf (tpath, kw) count;
-                let key = (tpath, kw) in
-                let fresh =
-                  match Hashtbl.find_opt last_prefix key with
-                  | Some p -> not (Dewey.equal p prefix)
-                  | None -> true
-                in
-                if fresh then begin
-                  Hashtbl.replace last_prefix key prefix;
-                  bump df key 1
-                end)
-              ancestor_paths)
-          node.keywords
-      end)
-    doc.nodes;
-  let distinct = Array.make npaths 0 in
-  Hashtbl.iter (fun (tpath, _) _ -> distinct.(tpath) <- distinct.(tpath) + 1) df;
-  {
-    doc;
-    inverted;
-    df;
-    tf;
-    distinct;
-    nodes_per_path;
-    memo_shards = make_memo_shards ();
-  }
+  accumulate t doc.nodes ~base:0;
+  t
 
-(* Incremental variant of [build] for an appended partition. New nodes'
-   Dewey labels all lie in the fresh partition, so every (type, keyword)
-   ancestor prefix is new — except the document root, whose df must only
-   be bumped when the keyword is new to the whole document. *)
+(* The kernel over the added nodes alone. Their ancestors are new nodes
+   and the root, whose cells already hold [last = 0], so the root is
+   never counted twice. *)
 let append t ~doc ~inverted ~added =
   let npaths = Path.size doc.Doc.paths in
   let grow a = Array.append a (Array.make (npaths - Array.length a) 0) in
-  let nodes_per_path = grow t.nodes_per_path in
-  let distinct = grow t.distinct in
-  let bump table key n =
-    let v = try Hashtbl.find table key with Not_found -> 0 in
-    Hashtbl.replace table key (v + n)
+  let t' =
+    make doc inverted t.cells ~distinct:(grow t.distinct)
+      ~nodes_per_path:(grow t.nodes_per_path)
   in
-  let last_prefix : (Path.id * Interner.id, Dewey.t) Hashtbl.t = Hashtbl.create 256 in
-  let root_depth = 1 in
-  Array.iter
-    (fun (node : Doc.node) ->
-      nodes_per_path.(node.path) <- nodes_per_path.(node.path) + 1;
-      if node.keywords <> [] then begin
-        let ancestor_paths = Path.ancestors doc.Doc.paths node.path in
-        List.iter
-          (fun (kw, count) ->
-            List.iter
-              (fun tpath ->
-                let d = Path.depth doc.Doc.paths tpath in
-                let prefix = Dewey.prefix node.dewey (d - 1) in
-                bump t.tf (tpath, kw) count;
-                let key = (tpath, kw) in
-                let fresh_here =
-                  match Hashtbl.find_opt last_prefix key with
-                  | Some p -> not (Dewey.equal p prefix)
-                  | None -> true
-                in
-                if fresh_here then begin
-                  Hashtbl.replace last_prefix key prefix;
-                  (* the root node predates this partition: count it only
-                     once per keyword over the document's lifetime *)
-                  let already =
-                    d = root_depth && (try Hashtbl.find t.df key > 0 with Not_found -> false)
-                  in
-                  if not already then begin
-                    if (try Hashtbl.find t.df key with Not_found -> 0) = 0 then
-                      distinct.(tpath) <- distinct.(tpath) + 1;
-                    bump t.df key 1
-                  end
-                end)
-              ancestor_paths)
-          node.keywords
-      end)
-    added;
-  Array.iter
-    (fun shard -> Mutex.protect shard.lock (fun () -> Hashtbl.reset shard.memo))
-    t.memo_shards;
-  { t with doc; inverted; nodes_per_path; distinct }
+  accumulate t' added ~base:(Doc.node_count doc - Array.length added);
+  t'
 
 let fork t ~doc =
-  {
-    t with
-    doc;
-    df = Hashtbl.copy t.df;
-    tf = Hashtbl.copy t.tf;
-    distinct = Array.copy t.distinct;
-    nodes_per_path = Array.copy t.nodes_per_path;
-    memo_shards = make_memo_shards ();
-  }
+  let cells = Cells.create (Cells.length t.cells) in
+  Cells.iter
+    (fun k c -> Cells.add cells k { df = c.df; tf = c.tf; last = c.last })
+    t.cells;
+  make doc t.inverted cells ~distinct:(Array.copy t.distinct)
+    ~nodes_per_path:(Array.copy t.nodes_per_path)
 
 let doc t = t.doc
 
-let df t ~path ~kw = try Hashtbl.find t.df (path, kw) with Not_found -> 0
+let df t ~path ~kw =
+  match Cells.find t.cells (key path kw) with c -> c.df | exception Not_found -> 0
 
-let tf t ~path ~kw = try Hashtbl.find t.tf (path, kw) with Not_found -> 0
+let tf t ~path ~kw =
+  match Cells.find t.cells (key path kw) with c -> c.tf | exception Not_found -> 0
 
 let distinct_keywords t path =
   if path >= 0 && path < Array.length t.distinct then t.distinct.(path) else 0
@@ -227,38 +214,37 @@ let cooccur t ~path k1 k2 =
 
 let paths_containing t kw =
   let acc = ref [] in
-  Hashtbl.iter (fun (path, k) v -> if k = kw then acc := (path, v) :: !acc) t.df;
+  Cells.iter
+    (fun k c -> if k land max_kw = kw then acc := (k lsr 31, c.df) :: !acc)
+    t.cells;
   List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
 
 let path_count t = Path.size t.doc.paths
 
 let export t =
   let acc = ref [] in
-  Hashtbl.iter
-    (fun (path, kw) d ->
-      let f = try Hashtbl.find t.tf (path, kw) with Not_found -> 0 in
-      acc := (path, kw, d, f) :: !acc)
-    t.df;
+  Cells.iter (fun k c -> acc := (k lsr 31, k land max_kw, c.df, c.tf) :: !acc) t.cells;
   List.sort compare !acc
 
+(* Appended nodes sit under the root alone, so [last = 0] keeps every
+   imported cell from counting an old ancestor again. *)
 let import (doc : Doc.t) inverted ~rows ~nodes_per_path =
-  let npaths = Path.size doc.paths in
-  let df = Hashtbl.create 4096 and tf = Hashtbl.create 4096 in
-  let distinct = Array.make npaths 0 in
+  let npaths = Path.size doc.paths and nkw = Interner.size doc.keywords in
+  let t =
+    make doc inverted (Cells.create 4096) ~distinct:(Array.make npaths 0) ~nodes_per_path
+  in
   List.iter
     (fun (path, kw, d, f) ->
-      Hashtbl.replace df (path, kw) d;
-      Hashtbl.replace tf (path, kw) f;
-      if path >= 0 && path < npaths then distinct.(path) <- distinct.(path) + 1)
+      if
+        path < 0 || path >= npaths || kw < 0 || kw >= nkw
+        || Cells.mem t.cells (key path kw)
+        || d < 1 || d > nodes_per_path.(path) || f < d
+      then failwith (Printf.sprintf "bad frequency row (%d, %d, %d, %d)" path kw d f);
+      let c = cell t path kw in
+      c.df <- d;
+      c.tf <- f;
+      c.last <- 0)
     rows;
-  {
-    doc;
-    inverted;
-    df;
-    tf;
-    distinct;
-    nodes_per_path;
-    memo_shards = make_memo_shards ();
-  }
+  t
 
 let total_nodes t = Doc.node_count t.doc

@@ -22,7 +22,21 @@ open Xr_xml
 type t
 
 (** [build doc inverted] computes all eager statistics in one pass over
-    the document's keyword occurrences. *)
+    the document's nodes.
+
+    The pass is one kernel, shared with {!append}. It keeps
+    [stack.(d)] = the index of the last node seen at depth [d + 1], so a
+    node's ancestor of type [T] is [stack.(depth T - 1)]: a node index,
+    never a copied Dewey prefix. Each (T, k) pair owns one cell of
+    counters, found by one int key; per (keyword occurrence × ancestor
+    type) the kernel adds to [tf], and adds 1 to [df] when the ancestor
+    differs from the last one the cell counted. Nothing is allocated
+    per pair. This rests on two invariants:
+    - nodes arrive in pre-order ([Doc.t.nodes]), so the stack holds a
+      node's ancestors and a pair's occurrences under one ancestor are
+      consecutive;
+    - appends add root children only ({!Doc.append_child}), so the root,
+      node 0, is the only existing node an appended node can sit under. *)
 val build : Doc.t -> Inverted.t -> t
 
 (** [doc t] is the document these statistics describe. *)
@@ -51,11 +65,11 @@ val paths_containing : t -> Interner.id -> (Path.id * int) list
 val path_count : t -> int
 
 (** [append t ~doc ~inverted ~added] updates the statistics for nodes of
-    a freshly appended document partition (see {!Doc.append_child}): the
-    frequency table is bumped in place (the old [t] becomes stale), the
-    per-type aggregates grow to cover new node types, and the
-    co-occurrence memo is reset. [doc]/[inverted] are the post-append
-    versions. *)
+    a freshly appended document partition (see {!Doc.append_child}) by
+    running {!build}'s kernel over [added] alone: the frequency table is
+    bumped in place (the old [t] becomes stale), the per-type aggregates
+    grow to cover new node types, and the co-occurrence memo starts
+    empty. [doc]/[inverted] are the post-append versions. *)
 val append : t -> doc:Doc.t -> inverted:Inverted.t -> added:Doc.node array -> t
 
 (** [fork t ~doc] is a statistics table that owns private copies of every
@@ -70,7 +84,11 @@ val fork : t -> doc:Doc.t -> t
 val export : t -> (Path.id * Interner.id * int * int) list
 
 (** [import doc inverted ~rows ~nodes_per_path] rebuilds a statistics
-    table from persisted rows without rescanning the document. *)
+    table from persisted rows without rescanning the document; a later
+    {!append} continues from it as from {!build}.
+    @raise Failure on a row whose path or keyword id is out of range,
+    that repeats a (path, keyword) pair, or that breaks
+    [1 <= df <= N_T] or [tf >= df]. *)
 val import :
   Doc.t ->
   Inverted.t ->

@@ -29,7 +29,8 @@
 # only — the boxed reference it was once divided by is gone — so it is
 # checked for shape, committed and fresh alike: the file parses, records
 # `host_cores` and `mode`, and every corpus lists 4 workloads x 3
-# algorithms, each with a finite positive `packed_ns`. Refinement speed
+# algorithms, each with a finite positive `packed_ns` (warm memo) and
+# `cold_ns` (empty co-occurrence memo). Refinement speed
 # is bounded end to end by BENCHMARK.json's refine_cold workload.
 # The batch bench (BENCH_batch.json) is gated at the 0.90 noise floor for
 # every `speedup_batch_c*_total` (c1 measures the batch layer's constant
@@ -148,10 +149,12 @@ for c in corpora:
             bad.append(f"{name}/{wname}: want 3 algorithms")
             continue
         for a in algs:
-            ns = a.get("packed_ns")
-            if not (isinstance(ns, (int, float)) and math.isfinite(ns) and ns > 0):
-                bad.append(f"{name}/{wname}/{a.get('algorithm', '?')}: packed_ns = {ns}")
-    print(f"bench-gate: {label}: {name}.packed_ns_total = {c.get('packed_ns_total')}")
+            for key in ("packed_ns", "cold_ns"):
+                ns = a.get(key)
+                if not (isinstance(ns, (int, float)) and math.isfinite(ns) and ns > 0):
+                    bad.append(f"{name}/{wname}/{a.get('algorithm', '?')}: {key} = {ns}")
+    print(f"bench-gate: {label}: {name}.packed_ns_total = {c.get('packed_ns_total')}"
+          f" cold_ns_total = {c.get('cold_ns_total')}")
 print(f"bench-gate: {label}: mode={doc.get('mode')} host_cores={doc.get('host_cores')}")
 if bad:
     for b in bad:

@@ -4,6 +4,7 @@ module Cursor = Xr_index.Cursor
 module Stats = Xr_index.Stats
 module Index = Xr_index.Index
 module Kv = Xr_store.Kv
+module Codec = Xr_store.Codec
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -194,6 +195,70 @@ let test_paths_containing () =
   (* xml lives under: bib, author, publications, inproceedings, title *)
   check Alcotest.int "5 node types contain xml" 5 (List.length hits)
 
+(* Every statistic against its definition, from the oracle's subtree
+   ends alone: for node i of type T the subtree is nodes i .. ends.(i)-1,
+   so df(T, k) counts T-typed nodes with an occurrence of k in that range
+   and tf(T, k) sums the occurrences. Every path T, every keyword and one
+   absent id; then G_T and N_T per path. *)
+let stats_match_definition (index : Index.t) =
+  let doc = index.Index.doc and stats = index.Index.stats in
+  let o = Oracle.make doc in
+  let nodes = doc.Doc.nodes in
+  let n = Array.length nodes in
+  let nkw = Interner.size doc.Doc.keywords in
+  let occ = Array.make (n + 1) 0 in
+  let ok = ref true in
+  let expect got want = if got <> want then ok := false in
+  let distinct = Array.make (Path.size doc.Doc.paths) 0 in
+  let typed = Array.make (Path.size doc.Doc.paths) 0 in
+  Array.iter (fun (m : Doc.node) -> typed.(m.Doc.path) <- typed.(m.Doc.path) + 1) nodes;
+  for kw = 0 to nkw do
+    (* kw = nkw is absent from the document *)
+    Array.iteri
+      (fun i (node : Doc.node) ->
+        let c = try List.assoc kw node.Doc.keywords with Not_found -> 0 in
+        occ.(i + 1) <- occ.(i) + c)
+      nodes;
+    Path.iter
+      (fun path ->
+        let df = ref 0 and tf = ref 0 in
+        Array.iteri
+          (fun i (node : Doc.node) ->
+            let inside = occ.(o.Oracle.ends.(i)) - occ.(i) in
+            if node.Doc.path = path && inside > 0 then begin
+              incr df;
+              tf := !tf + inside
+            end)
+          nodes;
+        if !df > 0 then distinct.(path) <- distinct.(path) + 1;
+        expect (Stats.df stats ~path ~kw) !df;
+        expect (Stats.tf stats ~path ~kw) !tf)
+      doc.Doc.paths
+  done;
+  Path.iter
+    (fun path ->
+      expect (Stats.distinct_keywords stats path) distinct.(path);
+      expect (Stats.node_count stats path) typed.(path))
+    doc.Doc.paths;
+  !ok
+
+(* The kernel allocates nothing per (keyword entry x ancestor type)
+   pair: what it does allocate (a cell per new pair, the ancestor
+   tables) stays far below the bound. *)
+let test_stats_build_allocation () =
+  let doc = Doc.of_tree (Xr_data.Dblp.scaled ~publications:2000 ~seed:2009) in
+  let inverted = Inverted.build doc in
+  let pairs =
+    Array.fold_left
+      (fun a (node : Doc.node) ->
+        a + (List.length node.Doc.keywords * Path.depth doc.Doc.paths node.Doc.path))
+      0 doc.Doc.nodes
+  in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Stats.build doc inverted));
+  let per_pair = (Gc.minor_words () -. before) /. float_of_int pairs in
+  if per_pair >= 4.0 then Alcotest.failf "%.2f minor words per pair" per_pair
+
 (* [Stats.cooccur] against its definition: the number of T-typed nodes
    whose subtree, self included, holds both keywords, counted from the
    oracle's per-keyword prefix counts and subtree ends (no posting list
@@ -325,6 +390,35 @@ let test_save_load_btree () =
   roundtrip_via (fun () -> Kv.btree_file path);
   Sys.remove path
 
+(* Each row breaks one invariant [Stats.import] relies on; [Index.load]
+   must refuse it with a Failure naming the [ft] key. *)
+let test_corrupt_frequency_rows () =
+  let index = Lazy.force fig1 in
+  let kv = Kv.memory () in
+  Index.save index kv;
+  let rows = Stats.export index.Index.stats in
+  let p, k, d, f = List.hd rows and rest = List.tl rows in
+  let npaths = Path.size index.Index.doc.Doc.paths in
+  let nkw = Interner.size index.Index.doc.Doc.keywords in
+  let n_t = Stats.node_count index.Index.stats p in
+  let write_row buf (p, k, d, f) = List.iter (Codec.write_varint buf) [ p; k; d; f ] in
+  List.iter
+    (fun (name, rows) ->
+      kv.Kv.insert ~key:"ft" ~value:(Codec.encode (Codec.write_list write_row) rows);
+      match Index.load kv with
+      | _ -> Alcotest.failf "%s: loaded" name
+      | exception Failure msg ->
+        check Alcotest.bool (name ^ ": " ^ msg) true
+          (String.starts_with ~prefix:"Index.load: key ft:" msg))
+    [
+      ("path id out of range", (npaths, k, d, f) :: rest);
+      ("keyword id out of range", (p, nkw, d, f) :: rest);
+      ("repeated pair", (p, k, d, f) :: rows);
+      ("df = 0", (p, k, 0, f) :: rest);
+      ("df > N_T", (p, k, n_t + 1, f + n_t + 1) :: rest);
+      ("tf < df", (p, k, d, d - 1) :: rest);
+    ]
+
 let test_load_missing () =
   let kv = Kv.memory () in
   try
@@ -371,6 +465,39 @@ let assert_index_equal (a : Index.t) (b : Index.t) =
         (Doc.vocabulary da))
     da.Doc.paths
 
+(* [build] of the root with its first m element children, then [append]
+   of each remaining child, equals [build] of the whole, for every m; and
+   the whole equals the definition. *)
+let stats_definition (tree : Tree.t) =
+  let whole = Index.build (Doc.of_tree tree) in
+  let elems = Tree.element_children tree in
+  let texts =
+    List.filter (function Tree.Text _ -> true | Tree.Elem _ -> false) tree.Tree.children
+  in
+  for m = 0 to List.length elems do
+    let prefix = List.filteri (fun i _ -> i < m) elems in
+    let base =
+      { tree with Tree.children = texts @ List.map (fun c -> Tree.Elem c) prefix }
+    in
+    let appended =
+      List.fold_left Index.append_partition
+        (Index.build (Doc.of_tree base))
+        (List.filteri (fun i _ -> i >= m) elems)
+    in
+    assert_index_equal appended whole
+  done;
+  stats_match_definition whole
+
+let prop_stats_definition =
+  QCheck.Test.make ~name:"stats equal their definition" ~count:150
+    (QCheck.make ~print:Printer.to_string Oracle.gen_doc)
+    stats_definition
+
+let test_stats_definition_shapes () =
+  List.iter
+    (fun (name, tree) -> check Alcotest.bool name true (stats_definition tree))
+    (Oracle.shapes ())
+
 let test_append_partition_matches_rebuild () =
   let full_tree = Xr_data.Dblp.scaled ~publications:30 ~seed:5 in
   let children = Tree.element_children full_tree in
@@ -383,6 +510,23 @@ let test_append_partition_matches_rebuild () =
   in
   let rebuilt = Index.build (Doc.of_tree full_tree) in
   assert_index_equal incremental rebuilt
+
+(* A loaded index continues like a built one: [Stats.import] leaves the
+   root counted once for every keyword already present. *)
+let test_load_then_append () =
+  let full_tree = Xr_data.Dblp.scaled ~publications:13 ~seed:5 in
+  let children = Tree.element_children full_tree in
+  let base =
+    Tree.elem full_tree.Tree.tag
+      (List.filteri (fun i _ -> i < 10) children |> List.map (fun c -> Tree.Elem c))
+  in
+  let kv = Kv.memory () in
+  Index.save (Index.build (Doc.of_tree base)) kv;
+  let loaded =
+    List.fold_left Index.append_partition (Index.load kv)
+      (List.filteri (fun i _ -> i >= 10) children)
+  in
+  assert_index_equal loaded (Index.build (Doc.of_tree full_tree))
 
 let test_append_partition_new_types_and_keywords () =
   let index = Index.build (Xr_data.Figure1.doc ()) in
@@ -429,6 +573,10 @@ let () =
           Alcotest.test_case "co-occurrence" `Quick test_stats_cooccur;
           Alcotest.test_case "brute-force cross-check" `Quick test_stats_bruteforce;
           Alcotest.test_case "paths_containing" `Quick test_paths_containing;
+          qcheck prop_stats_definition;
+          Alcotest.test_case "definition, adversarial shapes" `Quick
+            test_stats_definition_shapes;
+          Alcotest.test_case "stats build allocation" `Quick test_stats_build_allocation;
         ] );
       ( "cooccur-extra",
         [
@@ -442,11 +590,13 @@ let () =
           Alcotest.test_case "append = rebuild (dblp)" `Quick test_append_partition_matches_rebuild;
           Alcotest.test_case "new types and keywords" `Quick
             test_append_partition_new_types_and_keywords;
+          Alcotest.test_case "load then append = rebuild" `Quick test_load_then_append;
         ] );
       ( "persistence",
         [
           Alcotest.test_case "save/load memory" `Quick test_save_load_memory;
           Alcotest.test_case "save/load btree" `Quick test_save_load_btree;
           Alcotest.test_case "missing store" `Quick test_load_missing;
+          Alcotest.test_case "corrupt frequency rows" `Quick test_corrupt_frequency_rows;
         ] );
     ]

@@ -6,6 +6,7 @@
 open Xr_xml
 module Index = Xr_index.Index
 module Inverted = Xr_index.Inverted
+module Stats = Xr_index.Stats
 module Generation = Xr_ingest.Generation
 module Ingest = Xr_ingest.Ingest
 module Server = Xr_server.Server
@@ -111,14 +112,30 @@ let test_fork_isolation () =
   let index = fig1 () in
   let queries = [ [ "xml"; "database" ]; [ "levy" ]; [ "title" ] ] in
   let before = List.map (search_bytes index) queries in
+  (* every counter of the statistics, which the fork must own privately *)
+  let stats_of (idx : Index.t) =
+    let s = idx.Index.stats in
+    ( Stats.export s,
+      List.init (Path.size idx.Index.doc.Doc.paths) (fun p ->
+          (Stats.node_count s p, Stats.distinct_keywords s p)) )
+  in
+  let stats_before = stats_of index in
   let fork = Index.fork index in
-  let _fork2 =
+  let fork2 =
     Index.append_partition fork
       (Tree.elem "inproceedings"
-         [ Tree.Elem (Tree.leaf "title" "xml database levy title fresh") ])
+         [
+           Tree.Elem (Tree.leaf "title" "xml database levy title fresh");
+           Tree.Elem (Tree.leaf "erratum" "zanzibar");
+         ])
   in
+  check Alcotest.bool "the append adds a keyword and a node type" true
+    (Doc.keyword_id index.Index.doc "zanzibar" = None
+    && Doc.keyword_id fork2.Index.doc "zanzibar" <> None
+    && Path.size fork2.Index.doc.Doc.paths > Path.size index.Index.doc.Doc.paths);
   let after = List.map (search_bytes index) queries in
-  List.iter2 (check Alcotest.string "original index bytes undisturbed") before after
+  List.iter2 (check Alcotest.string "original index bytes undisturbed") before after;
+  check Alcotest.bool "original statistics undisturbed" true (stats_of index = stats_before)
 
 (* ---- equivalence with from-scratch rebuilds ------------------------------ *)
 
